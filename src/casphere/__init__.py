@@ -3,13 +3,15 @@
 The force on each sphere of an N-sphere cluster in a (possibly
 dielectric) background follows from one imaginary-frequency round trip:
 Mie scattering off each sphere (``mie``), translation of vector
-spherical waves between centers (``waves``), a block linear solve or
+spherical waves between centers (``basis``, ``rotation``,
+``translation``), a block linear solve or
 fixed-order power for the multiple-scattering series (``scattering``),
 and a quadrature or Matsubara sum over frequency (``spectral``).
 ``largen`` estimates the collective potential of many weakly coupled
 spheres; ``cli`` exposes scenes, sweeps and CSV output.
 """
 
+from .basis import BasisSpec, basis_enumerate
 from .largen import (DEFAULT_A_BAR, CrosscheckReport, LargeNParams,
                      LargeNResult, largen_asymptotic, largen_crosscheck,
                      largen_potential_integral, ring_scene)
@@ -23,8 +25,7 @@ from .scattering import (ForceResult, PotentialResult, SceneConfig,
                          three_body_energy, three_body_force)
 from .spectral import (SpectralSettings, integrate_zero_t, matsubara_sum,
                        zero_frequency_limit)
-from .waves import (BasisSpec, basis_enumerate, translation_gradient,
-                    translation_matrix)
+from .translation import translation_gradient, translation_matrix
 
 __version__ = "0.1.0"
 

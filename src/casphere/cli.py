@@ -150,7 +150,7 @@ def parse_scene(doc):
         raise SceneParseError("spectral: expected an object")
     try:
         spectral = SpectralSettings(**spectral_doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SceneParseError(f"spectral: {exc}") from exc
     try:
         return SceneConfig(
@@ -447,8 +447,6 @@ def run_large_n(args):
 
 
 def _selfcheck_rows():
-    import time
-
     from .basis import basis_enumerate
     from .rotation import rotate_block
     from .specfun import mod_sph_bessel, mod_sph_bessel_dx
@@ -506,8 +504,6 @@ def _selfcheck_rows():
     e_p, _, _ = interaction_energy(sc.moved("b", (0, 0, 4.0 + h)))
     e_m, _, _ = interaction_energy(sc.moved("b", (0, 0, 4.0 - h)))
     add("force vs -dE/dd", abs(-(e_p - e_m) / (2 * h) / f_an - 1.0), 1e-3)
-
-    _ = time.time()
     return rows
 
 

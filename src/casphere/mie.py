@@ -53,8 +53,8 @@ class ConstantPermittivity(PermittivityModel):
     value: float
 
     def __post_init__(self):
-        if self.value <= 0.0:
-            raise ValueError("permittivity must be positive")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError("permittivity value must be positive and finite")
 
     def eps_imag_freq(self, xi):
         return self.value

@@ -34,6 +34,7 @@ round trip.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,10 +42,8 @@ import numpy as np
 from .basis import BasisSpec, basis_enumerate
 from .constants import C_LIGHT, HBAR_C, matsubara_scale
 from .mie import ConstantPermittivity, PermittivityModel, mie_diag
-from .spectral import (SpectralSettings, integrate_zero_t, matsubara_sum,
-                       zero_frequency_limit)
-from .translation import (KIND_OUTGOING, TranslationBlock, _gradient_stack,
-                          translation_matrix)
+from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
+from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
 _RENORM = 1e100
@@ -65,8 +64,11 @@ class SphereSpec:
                            tuple(float(c) for c in self.center))
         if len(self.center) != 3:
             raise ValueError(f"sphere {self.label!r}: center must be 3-vector")
-        if self.radius <= 0.0:
-            raise ValueError(f"sphere {self.label!r}: radius must be positive")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"sphere {self.label!r}: center must be finite")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"sphere {self.label!r}: radius must be "
+                             "positive and finite")
 
     @property
     def center_array(self):
@@ -92,8 +94,10 @@ class SceneConfig:
             raise ValueError("sphere labels must be unique")
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if self.temperature_kelvin < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not 0.0 <= self.temperature_kelvin < math.inf:
+            raise ValueError("temperature_kelvin must be finite and >= 0")
+        if not 0.0 <= self.length_unit_m < math.inf:
+            raise ValueError("length_unit_m must be finite and >= 0")
         if self.temperature_kelvin > 0.0 and self.length_unit_m <= 0.0:
             raise ValueError(
                 "finite temperature needs length_unit_m to fix the "
@@ -161,9 +165,10 @@ class ForceResult:
     """Force on a target sphere, in hbar c / L0^2 scene units.
 
     error combines the quadrature estimate with the l_max vs l_max - 1
-    truncation delta.  exponent_scale reports the tracked path exponent
-    of the dominant fixed-order contribution at the reference frequency
-    (0.0 for resummed results, which are fully de-scaled).
+    truncation delta, which reuses the same frequency evaluations;
+    n_freq counts all of them.  exponent_scale reports the tracked path
+    exponent of the dominant fixed-order contribution at the reference
+    frequency (0.0 for resummed results, which are fully de-scaled).
     """
     force: np.ndarray
     error: np.ndarray
@@ -228,29 +233,78 @@ def _l_balance_vec(basis: BasisSpec, kappa, r0):
     return out
 
 
-def _balanced_m(scene: SceneConfig, xi):
-    """S^{-1} M S as one dense (N D, N D) real matrix; entries bounded."""
-    basis = scene.basis
-    dim = basis.size
-    n = len(scene.spheres)
+def _assemble(scene: SceneConfig, xi, target=None):
+    """Ingredients of M(i xi), each computed once per (scene, xi).
+
+    (kappa, tvecs, lbal, blocks, dblocks): one scaled Mie vector per
+    sphere, the l-balance vector, blocks[(i, j)] = (A^{i<-j} mantissa,
+    exponent, e^{-kappa gap_ij}) per ordered pair and, for a force,
+    dblocks holding d/dr_target of the blocks (t, j) and (j, t), both
+    with the exponent and scale of (t, j).
+    """
+    basis, spheres = scene.basis, scene.spheres
     kappa, eps_rel = _materials(scene, xi)
-    r0 = min(s.radius for s in scene.spheres)
-    lbal = _l_balance_vec(basis, kappa, r0)
     tvecs = [mie_diag(basis, kappa * s.radius, eps_rel[i], scaled=True)
-             for i, s in enumerate(scene.spheres)]
-    out = np.zeros((n * dim, n * dim))
-    for i, si in enumerate(scene.spheres):
-        for j, sj in enumerate(scene.spheres):
+             for i, s in enumerate(spheres)]
+    lbal = _l_balance_vec(basis, kappa, min(s.radius for s in spheres))
+    blocks, dblocks = {}, {}
+    for i, si in enumerate(spheres):
+        for j, sj in enumerate(spheres):
             if i == j:
                 continue
             d = si.center_array - sj.center_array
             blk = translation_matrix(basis, KIND_OUTGOING, kappa, d)
             gap = float(np.linalg.norm(d)) - si.radius - sj.radius
-            scale = math.exp(-kappa * gap)
-            m = (tvecs[i] / lbal)[:, None] * blk.matrix * (lbal[None, :]
-                                                           * scale)
-            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = m
+            blocks[(i, j)] = (blk.matrix, blk.exponent,
+                              math.exp(-kappa * gap))
+            if i == target:
+                # d(r_t - r_j) = +dr_t and d(r_j - r_t) = -dr_t.  The
+                # latter is taken at -d, not at r_j - r_t, whose zero
+                # components carry the other sign (other azimuth branch)
+                geom = blocks[(i, j)][1:]
+                dblocks[(i, j)] = (_gradient_stack(
+                    basis, KIND_OUTGOING, kappa, d)[0],) + geom
+                dblocks[(j, i)] = (-_gradient_stack(
+                    basis, KIND_OUTGOING, kappa, -d)[0],) + geom
+    return kappa, tvecs, lbal, blocks, dblocks
+
+
+def _balanced(tvecs, lbal, blocks, keep):
+    """{(i, j): S^{-1} T_i X S} on the labels keep; entries stay bounded."""
+    lb, sub = lbal[keep], (..., keep[:, None], keep)
+    return {(i, j): (tvecs[i][keep] / lb)[:, None] * x[sub] * (lb * scale)
+            for (i, j), (x, _, scale) in blocks.items()}
+
+
+def _tracked(kappa, tvecs, spheres, blocks, keep):
+    """{(i, j): (T_i X mantissa, exponent)} on the labels keep, T unscaled.
+
+    Raises before overflow can corrupt paths.
+    """
+    if 2.0 * (kappa * max(s.radius for s in spheres)) > 690.0:
+        raise OverflowError(
+            "fixed-order representation overflows at kappa R > 345; "
+            "use the resummed order for this regime")
+    tt = [v[keep] * math.exp(2.0 * (kappa * s.radius))
+          for v, s in zip(tvecs, spheres)]
+    sub = (..., keep[:, None], keep)
+    return {(i, j): (tt[i][:, None] * x[sub], expo)
+            for (i, j), (x, expo, _) in blocks.items()}
+
+
+def _dense(blocks, n, dim):
+    out = np.zeros((n * dim, n * dim))
+    for (i, j), b in blocks.items():
+        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = b
     return out
+
+
+def _balanced_m(scene: SceneConfig, xi):
+    """S^{-1} M S as one dense (N D, N D) real matrix; entries bounded."""
+    _, tvecs, lbal, blocks, _ = _assemble(scene, xi)
+    keep = np.arange(scene.basis.size)
+    return _dense(_balanced(tvecs, lbal, blocks, keep), len(scene.spheres),
+                  keep.size)
 
 
 def logdet_energy_oracle(scene: SceneConfig, xi):
@@ -287,94 +341,22 @@ def energy_integrand(scene: SceneConfig, xi):
     return 0.5 * float(np.sum(np.log1p(q))) / _TWO_PI
 
 
-def _grad_pair(basis, kappa, d):
-    """(3, D, D) stack of d/dd A(d), with its shared exponent removed."""
-    return _gradient_stack(basis, KIND_OUTGOING, kappa, d)[0]
-
-
-def _resummed_force_integrand(scene: SceneConfig, target_idx, xi):
-    basis = scene.basis
-    dim = basis.size
-    t = target_idx
-    kappa, eps_rel = _materials(scene, xi)
-    r0 = min(s.radius for s in scene.spheres)
-    lbal = _l_balance_vec(basis, kappa, r0)
-    m = _balanced_m(scene, xi)
-    x = np.linalg.inv(np.eye(m.shape[0]) - m)
-    st = scene.spheres[t]
-    tvec_t = mie_diag(basis, kappa * st.radius, eps_rel[t], scaled=True)
+def _resummed_force(m_blocks, dm_blocks, n, t, ds):
+    """tr[(1 - M)^{-1} dM/dr_t] per axis, from balanced blocks of size ds."""
+    x = np.linalg.inv(np.eye(n * ds) - _dense(m_blocks, n, ds))
     out = np.zeros(3)
-    for j, sj in enumerate(scene.spheres):
+    for j in range(n):
         if j == t:
             continue
-        d_tj = st.center_array - sj.center_array
-        dist = float(np.linalg.norm(d_tj))
-        gap = dist - st.radius - sj.radius
-        scale = math.exp(-kappa * gap)
-        grad_tj = _grad_pair(basis, kappa, d_tj)        # d/dd at d = r_t - r_j
-        grad_jt = _grad_pair(basis, kappa, -d_tj)
-        tvec_j = mie_diag(basis, kappa * sj.radius, eps_rel[j], scaled=True)
-        x_jt = x[j * dim:(j + 1) * dim, t * dim:(t + 1) * dim]
-        x_tj = x[t * dim:(t + 1) * dim, j * dim:(j + 1) * dim]
+        x_jt = x[j * ds:(j + 1) * ds, t * ds:(t + 1) * ds]
+        x_tj = x[t * ds:(t + 1) * ds, j * ds:(j + 1) * ds]
         for a in range(3):
-            # moving the target: d(r_t - r_j) = +dr_t, d(r_j - r_t) = -dr_t
-            dm_tj = (tvec_t / lbal)[:, None] * grad_tj[a] * (lbal * scale)
-            dm_jt = (tvec_j / lbal)[:, None] * (-grad_jt[a]) * (lbal * scale)
-            out[a] += np.einsum("ab,ba->", x_jt, dm_tj)
-            out[a] += np.einsum("ab,ba->", x_tj, dm_jt)
-    return out / _TWO_PI
+            out[a] += np.einsum("ab,ba->", x_jt, dm_blocks[(t, j)][a])
+            out[a] += np.einsum("ab,ba->", x_tj, dm_blocks[(j, t)][a])
+    return out
 
 
 # ------------------------------------------------- fixed-order (tracked)
-
-def _tracked_t_diag(basis, kappa, radius, eps_rel):
-    """Unscaled T diagonal; raises before overflow can corrupt paths."""
-    x = kappa * radius
-    if 2.0 * x > 690.0:
-        raise OverflowError(
-            "fixed-order representation overflows at kappa R > 345; "
-            "use the resummed order for this regime")
-    return mie_diag(basis, x, eps_rel, scaled=True) * math.exp(2.0 * x)
-
-
-def _tracked_m_blocks(scene: SceneConfig, xi):
-    """{(i, j): (mantissa, exponent)} with exponent = -kappa d_ij."""
-    basis = scene.basis
-    kappa, eps_rel = _materials(scene, xi)
-    tvecs = [_tracked_t_diag(basis, kappa, s.radius, eps_rel[i])
-             for i, s in enumerate(scene.spheres)]
-    blocks = {}
-    for i, si in enumerate(scene.spheres):
-        for j, sj in enumerate(scene.spheres):
-            if i == j:
-                continue
-            d = si.center_array - sj.center_array
-            blk = translation_matrix(basis, KIND_OUTGOING, kappa, d)
-            blocks[(i, j)] = (tvecs[i][:, None] * blk.matrix, blk.exponent)
-    return blocks
-
-
-def _tracked_dm_blocks(scene: SceneConfig, target_idx, xi):
-    """Per-axis tracked blocks of dM/dr_target."""
-    basis = scene.basis
-    t = target_idx
-    kappa, eps_rel = _materials(scene, xi)
-    st = scene.spheres[t]
-    tvec_t = _tracked_t_diag(basis, kappa, st.radius, eps_rel[t])
-    out = [{}, {}, {}]
-    for j, sj in enumerate(scene.spheres):
-        if j == t:
-            continue
-        d_tj = st.center_array - sj.center_array
-        expo = -kappa * float(np.linalg.norm(d_tj))
-        grad_tj = _grad_pair(basis, kappa, d_tj)
-        grad_jt = _grad_pair(basis, kappa, -d_tj)
-        tvec_j = _tracked_t_diag(basis, kappa, sj.radius, eps_rel[j])
-        for a in range(3):
-            out[a][(t, j)] = (tvec_t[:, None] * grad_tj[a], expo)
-            out[a][(j, t)] = (tvec_j[:, None] * (-grad_jt[a]), expo)
-    return out
-
 
 def _block_mul(a_blocks, b_blocks, n):
     """Tracked product; per-destination terms combined at the max exponent."""
@@ -407,36 +389,21 @@ def _block_power(blocks, n, k):
     return out
 
 
-def _tracked_trace(prod_blocks, dm_blocks):
-    """tr[P dM] and the dominant tracked exponent among its terms."""
-    total = 0.0
-    top = -math.inf
-    for (i, j), (dm, de) in dm_blocks.items():
-        if (j, i) not in prod_blocks:
-            continue
-        pm, pe = prod_blocks[(j, i)]
-        val = np.einsum("ab,ba->", pm, dm)
-        expo = pe + de
-        total += val * math.exp(expo)
-        if val != 0.0 and expo > top:
-            top = expo
-    return total, top
-
-
-def _fixed_force_terms(scene: SceneConfig, target_idx, xi, k):
-    """((3,) integrand values, dominant tracked exponent)."""
-    if k < 2:
-        raise ValueError("fixed order needs k >= 2 scattering events")
-    n = len(scene.spheres)
-    m_blocks = _tracked_m_blocks(scene, xi)
-    dm_blocks = _tracked_dm_blocks(scene, target_idx, xi)
+def _fixed_force(m_blocks, dm_blocks, n, k):
+    """(tr[M^{k-1} dM] per axis, dominant tracked exponent of its terms)."""
     prod = _block_power(m_blocks, n, k - 1)
     vals = np.zeros(3)
     top = -math.inf
-    for a in range(3):
-        vals[a], t_a = _tracked_trace(prod, dm_blocks[a])
-        top = max(top, t_a)
-    return vals / _TWO_PI, top
+    for (i, j), (dm, de) in dm_blocks.items():
+        if (j, i) not in prod:
+            continue
+        pm, pe = prod[(j, i)]
+        for a in range(3):
+            val = np.einsum("ab,ba->", pm, dm[a])
+            vals[a] += val * math.exp(pe + de)
+            if val != 0.0 and pe + de > top:
+                top = pe + de
+    return vals, top
 
 
 def energy_integrand_fixed(scene: SceneConfig, xi, k):
@@ -444,7 +411,9 @@ def energy_integrand_fixed(scene: SceneConfig, xi, k):
     if k < 2:
         raise ValueError("fixed order needs k >= 2 scattering events")
     n = len(scene.spheres)
-    m_blocks = _tracked_m_blocks(scene, xi)
+    kappa, tvecs, _, blocks, _ = _assemble(scene, xi)
+    m_blocks = _tracked(kappa, tvecs, scene.spheres, blocks,
+                        np.arange(scene.basis.size))
     prod = _block_power(m_blocks, n, k - 1)
     total = 0.0
     for i in range(n):
@@ -456,20 +425,55 @@ def energy_integrand_fixed(scene: SceneConfig, xi, k):
     return -total / (_TWO_PI * k)
 
 
+# ------------------------------------------------------------------ force
+
+def _force_args(scene: SceneConfig, target, order):
+    """(target index, k): k is None for "resummed", else from "fixed(k)"
+    or "fixed:k".  Raises on a bad argument before any evaluation."""
+    if len(scene.spheres) < 2:
+        raise ValueError("force needs at least two spheres")
+    t = scene.index_of(target)
+    if order == "resummed":
+        return t, None
+    match = re.fullmatch(r"fixed(?:\((\d+)\)|:(\d+))", str(order))
+    if match is None:
+        raise ValueError(
+            f"unknown order {order!r}; use 'resummed' or 'fixed(k)'")
+    k = int(match.group(1) or match.group(2))
+    if k < 2:
+        raise ValueError("fixed order needs k >= 2 scattering events")
+    return t, k
+
+
+def _force_rows(scene: SceneConfig, t, xi, k, n_rows=1):
+    """((n_rows, 3) force integrands, tracked exponent of row 0; 0 for
+    the resummed order, k None).  Row 1 is at l_max - 1: every part of M
+    is diagonal in l or built label by label, so M at l_max - 1 is
+    exactly the principal submatrix of M on the labels l <= l_max - 1.
+    """
+    kappa, tvecs, lbal, blocks, dblocks = _assemble(scene, xi, t)
+    n, basis = len(scene.spheres), scene.basis
+    full = np.arange(basis.size)
+    lo, ds = basis.scalar_size - (2 * basis.l_max + 1), basis.scalar_size
+    terms = []
+    for keep in [full, np.r_[full[:lo], full[ds:ds + lo]]][:n_rows]:
+        if k is None:
+            terms.append((_resummed_force(
+                _balanced(tvecs, lbal, blocks, keep),
+                _balanced(tvecs, lbal, dblocks, keep), n, t, keep.size), 0.0))
+        else:
+            terms.append(_fixed_force(
+                _tracked(kappa, tvecs, scene.spheres, blocks, keep),
+                _tracked(kappa, tvecs, scene.spheres, dblocks, keep), n, k))
+    return np.stack([vals for vals, _ in terms]) / _TWO_PI, terms[0][1]
+
+
 def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
     """(3,) force integrand; F = Int_0^inf (T=0) or Matsubara-summed."""
     if xi <= 0.0:
         raise ValueError("xi must be positive")
-    t = scene.index_of(target)
-    if len(scene.spheres) < 2:
-        raise ValueError("force needs at least two spheres")
-    if order == "resummed":
-        return _resummed_force_integrand(scene, t, xi)
-    if isinstance(order, str) and order.startswith("fixed"):
-        k = int(order[len("fixed("):-1]) if order.endswith(")") else int(
-            order.split(":")[1])
-        return _fixed_force_terms(scene, t, xi, k)[0]
-    raise ValueError(f"unknown order {order!r}; use 'resummed' or 'fixed(k)'")
+    t, k = _force_args(scene, target, order)
+    return _force_rows(scene, t, xi, k)[0][0]
 
 
 # --------------------------------------------------------------- spectral
@@ -513,29 +517,20 @@ def _si_force_factor(scene: SceneConfig):
 
 def casimir_force(scene: SceneConfig, target, order="resummed",
                   truncation_error=True, map_fn=map):
-    """Force on the target sphere with quadrature + truncation errors."""
-    if len(scene.spheres) < 2:
-        raise ValueError("force needs at least two spheres")
-    t = scene.index_of(target)
+    """Force on the target sphere with quadrature + truncation errors.
 
-    def f(xi):
-        return force_integrand(scene, target, xi, order)
-
-    val, qerr, n_freq = _spectral_value(scene, f, map_fn)
-    if truncation_error and scene.l_max >= 2:
-        lower = replace(scene, l_max=scene.l_max - 1)
-        val_lo, _, _ = _spectral_value(
-            lower, lambda xi: force_integrand(lower, target, xi, order),
-            map_fn)
-        terr = np.abs(val - val_lo)
-    else:
-        terr = np.zeros(3)
+    The truncation estimate |F(l_max) - F(l_max - 1)| comes from the
+    same frequency evaluations, integrated as a second row.
+    """
+    t, k = _force_args(scene, target, order)
+    n_rows = 2 if truncation_error and scene.l_max >= 2 else 1
+    val, qerr, n_freq = _spectral_value(
+        scene, lambda xi: _force_rows(scene, t, xi, k, n_rows)[0], map_fn)
+    terr = np.abs(val[0] - val[1]) if n_rows == 2 else np.zeros(3)
     expo = 0.0
-    if isinstance(order, str) and order.startswith("fixed"):
-        k = int(order[len("fixed("):-1])
-        xi_ref = 1.0 / _decay_scale(scene)
-        expo = _fixed_force_terms(scene, t, xi_ref, k)[1]
-    return ForceResult(force=val, error=qerr + terr, target=target,
+    if k is not None:
+        expo = _force_rows(scene, t, 1.0 / _decay_scale(scene), k)[1]
+    return ForceResult(force=val[0], error=qerr[0] + terr, target=target,
                        order=str(order), l_max=scene.l_max, n_freq=n_freq,
                        exponent_scale=float(expo),
                        si_factor=_si_force_factor(scene))

@@ -31,14 +31,12 @@ from scipy.special import roots_laguerre
 class SpectralSettings:
     """How to turn integrands into numbers.
 
-    temperature: reduced temperature T~; 0 selects the T = 0 integral.
     n_nodes / check_nodes: Gauss-Laguerre size and the increment used
-        for the error estimate.
+        for the error estimate; both >= 1, their sum <= 185.
     adaptive: use scipy.integrate.quad instead (scalar integrands only).
     n_matsubara_max / matsubara_tail_tol: summation stop controls.
     xi_eps: seed for the zero-frequency Richardson extrapolation.
     """
-    temperature: float = 0.0
     n_nodes: int = 40
     check_nodes: int = 8
     adaptive: bool = False
@@ -46,6 +44,14 @@ class SpectralSettings:
     n_matsubara_max: int = 2000
     matsubara_tail_tol: float = 1e-10
     xi_eps: float = 1e-3
+
+    def __post_init__(self):
+        # from 186 nodes on, the largest Gauss-Laguerre node exceeds
+        # ln(DBL_MAX) and its weight factor e^u overflows
+        if not (self.n_nodes >= 1 and self.check_nodes >= 1
+                and self.n_nodes + self.check_nodes <= 185):
+            raise ValueError("n_nodes and check_nodes must be >= 1 with "
+                             "n_nodes + check_nodes <= 185")
 
 
 def _gauss_laguerre_apply(f, decay_scale, n, map_fn=map):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,8 @@ def test_parse_scene_messages_name_the_field():
         parse_scene(doc)
     with pytest.raises(SceneParseError, match="spectral"):
         parse_scene(scene_doc(spectral={"no_such_knob": 1}))
+    with pytest.raises(SceneParseError, match="spectral"):
+        parse_scene(scene_doc(spectral={"temperature": 0.0}))
     # overlap propagates as a parse error with the labels
     with pytest.raises(SceneParseError, match="overlap"):
         parse_scene(scene_doc(d=1.0))
@@ -139,6 +142,26 @@ def test_overlapping_scene_is_validation_error(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "overlap" in err
+
+
+def _nan_center(doc):
+    doc["spheres"][1]["center"] = [0.0, 0.0, float("nan")]
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (scene_doc(temperature_kelvin=float("nan")), "temperature_kelvin"),
+    (_nan_center(scene_doc()), r"spheres\[1\]"),
+    (scene_doc(spectral={"n_nodes": 178}), "spectral"),
+], ids=["temperature-nan", "center-nan", "too-many-nodes"])
+def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
+                                                        doc, field):
+    path = scene_file(tmp_path, doc)
+    assert main(["force", "--scene", path, "--target", "b"]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert re.search(field, err)
 
 
 def test_unknown_target_is_validation_error(tmp_path, capsys):

@@ -9,20 +9,24 @@ Independent routes checked against each other:
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from casphere.constants import HBAR_C
-from casphere.mie import ConstantPermittivity, mie_coefficient
+from casphere.mie import ConstantPermittivity, mie_coefficient, mie_diag
 from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  energy_integrand, energy_integrand_fixed,
                                  force_integrand, interaction_energy,
                                  logdet_energy_oracle, potential_along_path,
                                  three_body_energy, three_body_force)
-from casphere.scattering import _balanced_m, _fixed_force_terms
+from casphere.scattering import _balanced_m, _force_rows
+from casphere.spectral import SpectralSettings
+from casphere.translation import KIND_OUTGOING, _gradient_stack
 
 EPS4 = ConstantPermittivity(4.0)
+FAST = SpectralSettings(n_nodes=24, check_nodes=8)
 _POOL = ThreadPoolExecutor(max_workers=8)
 MAP = _POOL.map
 
@@ -111,14 +115,68 @@ def test_force_integrand_differentiates_energy_integrand():
 def test_fixed_order_exponent_tracking():
     sc = two_spheres(d=2.6, l_max=2)
     xi = 0.9
-    _, top2 = _fixed_force_terms(sc, 1, xi, 2)
+    _, top2 = _force_rows(sc, 1, xi, 2)
     assert top2 == -(2.0 * (xi * 2.6))
     s3 = three_spheres()
     d12, d13 = 3.2, float(np.linalg.norm([2.9, 0.0, 1.4]))
     d23 = float(np.linalg.norm([2.9, 0.0, 1.4 - 3.2]))
-    _, top3 = _fixed_force_terms(s3, 2, xi, 3)
+    _, top3 = _force_rows(s3, 2, xi, 3)
     perim = -xi * (d12 + d23 + d13)
     assert top3 == pytest.approx(perim, rel=1e-12)
+
+
+def _lower_labels(basis, n_spheres=1):
+    keep = [i for i, (_, l, _) in enumerate(basis.labels())
+            if l < basis.l_max]
+    return np.concatenate([np.array(keep) + s * basis.size
+                           for s in range(n_spheres)])
+
+
+def test_lower_truncation_is_a_principal_submatrix():
+    off_axis = SceneConfig(
+        spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, EPS4),
+                 SphereSpec("b", (0.7, -0.4, 2.9), 0.8, EPS4)), l_max=2)
+    for sc in (off_axis, three_spheres(l_max=2)):
+        lower = replace(sc, l_max=1)
+        keep = _lower_labels(sc.basis)
+        idx = _lower_labels(sc.basis, len(sc.spheres))
+        d = sc.spheres[1].center_array - sc.spheres[0].center_array
+        for xi in (0.01, 0.3, 1.7, 9.0):
+            m = _balanced_m(sc, xi)
+            assert np.array_equal(m[np.ix_(idx, idx)],
+                                  _balanced_m(lower, xi))
+            grad = _gradient_stack(sc.basis, KIND_OUTGOING, xi, d)[0]
+            assert np.array_equal(
+                grad[:, keep[:, None], keep],
+                _gradient_stack(lower.basis, KIND_OUTGOING, xi, d)[0])
+
+
+def test_truncation_estimate_reuses_the_frequency_evaluations():
+    sc = replace(three_spheres(l_max=2), spectral=FAST)
+    for order in ("resummed", "fixed(2)"):
+        res = casimir_force(sc, "c", order=order)
+        bare = casimir_force(sc, "c", order=order, truncation_error=False)
+        lower = casimir_force(replace(sc, l_max=1), "c", order=order,
+                              truncation_error=False)
+        assert np.array_equal(res.force, bare.force)
+        assert np.array_equal(res.error,
+                              bare.error + np.abs(bare.force - lower.force))
+        assert res.n_freq == bare.n_freq
+
+
+def test_n_freq_counts_every_frequency_evaluation(monkeypatch):
+    import casphere.scattering as scattering
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mie_diag(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "mie_diag", counted)
+    sc = replace(two_spheres(l_max=2), spectral=FAST)
+    res = casimir_force(sc, "b")
+    assert res.n_freq == 2 * FAST.n_nodes + FAST.check_nodes
+    assert len(calls) == len(sc.spheres) * res.n_freq
 
 
 def test_dipole_limit_matches_dyadic_force_law():
@@ -320,6 +378,27 @@ def test_scene_validation():
         SphereSpec("a", (0.0, 0.0, 0.0), -1.0, EPS4)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda: SphereSpec("q", (0.0, NAN, 0.0), 1.0, EPS4), "'q'.*center"),
+    (lambda: SphereSpec("q", (INF, 0.0, 0.0), 1.0, EPS4), "'q'.*center"),
+    (lambda: SphereSpec("q", (0.0, 0.0, 0.0), NAN, EPS4), "'q'.*radius"),
+    (lambda: SphereSpec("q", (0.0, 0.0, 0.0), INF, EPS4), "'q'.*radius"),
+    (lambda: ConstantPermittivity(NAN), "permittivity"),
+    (lambda: ConstantPermittivity(INF), "permittivity"),
+    (lambda: SceneConfig(spheres=two_spheres().spheres,
+                         temperature_kelvin=NAN), "temperature_kelvin"),
+    (lambda: SceneConfig(spheres=two_spheres().spheres,
+                         length_unit_m=NAN), "length_unit_m"),
+], ids=["center-nan", "center-inf", "radius-nan", "radius-inf", "eps-nan",
+        "eps-inf", "temperature-nan", "length-unit-nan"])
+def test_non_finite_input_is_rejected_at_construction(build, names):
+    with pytest.raises(ValueError, match=names):
+        build()
+
+
 def test_scene_plumbing():
     s3 = three_spheres()
     sub = s3.subscene(["a", "c"])
@@ -347,6 +426,20 @@ def test_evaluation_argument_errors():
         force_integrand(sc, "b", 1.0, "cubic")
     with pytest.raises(KeyError):
         force_integrand(sc, "nope", 1.0)
+    colon = casimir_force(sc, "b", order="fixed:2", map_fn=MAP)
+    paren = casimir_force(sc, "b", order="fixed(2)", map_fn=MAP)
+    assert np.array_equal(colon.force, paren.force)
+    assert colon.exponent_scale == paren.exponent_scale
+    evaluated = []
+
+    def spy(f, xs):
+        evaluated.append(f)
+        return map(f, xs)
+
+    for bad in ("cubic", "fixed(1)", "fixed:", "fixed(2", "fixed(k)"):
+        with pytest.raises(ValueError):
+            casimir_force(sc, "b", order=bad, map_fn=spy)
+    assert evaluated == []
     lone = SceneConfig(spheres=(SphereSpec("a", (0, 0, 0), 1.0, EPS4),))
     with pytest.raises(ValueError):
         casimir_force(lone, "a")

@@ -31,6 +31,18 @@ def test_gamma_integrand():
         assert val == pytest.approx(want, rel=1e-10)
 
 
+def test_settings_validate_node_counts():
+    # 185 nodes in all is the largest rule whose weights stay finite
+    widest = SpectralSettings(n_nodes=177, check_nodes=8)
+    val, _ = integrate_zero_t(lambda xi: math.exp(-xi), 1.0, widest)
+    assert val == pytest.approx(1.0, rel=1e-12)
+    for bad in ({"n_nodes": 178}, {"n_nodes": 0}, {"check_nodes": 0}):
+        with pytest.raises(ValueError, match="n_nodes"):
+            SpectralSettings(**bad)
+    with pytest.raises(TypeError):
+        SpectralSettings(temperature=0.0)
+
+
 def test_vector_integrand():
     d = np.array([1.0, 2.0])
     val, err = integrate_zero_t(
