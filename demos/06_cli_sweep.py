@@ -4,8 +4,8 @@ Command line: scene files, sweeps, and deterministic CSV
 
 The `casphere` console script reads a JSON scene, sweeps one sphere
 coordinate, and writes CSV whose header comments echo every input
-needed to reproduce the run.  Output bytes are identical for any
-worker count.  This demo drives the same entry point in-process.
+needed to reproduce the run.  Output bytes are identical from run to
+run.  This demo drives the same entry point in-process.
 """
 
 import json
@@ -33,15 +33,13 @@ with tempfile.TemporaryDirectory() as tmp:
 
     out = tmp / "sweep.csv"
     code = main(["force", "--scene", str(scene_path), "--target", "b",
-                 "--sweep", "b:z:3.0:6.0:7", "--out", str(out),
-                 "--workers", "2"])
+                 "--sweep", "b:z:3.0:6.0:7", "--out", str(out)])
     print(f"exit code {code}; CSV written to a temp dir:\n")
     print(out.read_text(encoding="utf-8"))
 
-    # the same sweep with a different worker count is byte-identical
+    # running the same sweep again gives the same bytes
     out2 = tmp / "sweep2.csv"
     main(["force", "--scene", str(scene_path), "--target", "b",
-          "--sweep", "b:z:3.0:6.0:7", "--out", str(out2),
-          "--workers", "1"])
+          "--sweep", "b:z:3.0:6.0:7", "--out", str(out2)])
     same = out.read_bytes() == out2.read_bytes()
-    print(f"byte-identical across worker counts: {same}")
+    print(f"byte-identical across two runs: {same}")

@@ -27,11 +27,8 @@ interpolation).
 
 CSV columns are fixed: sweep parameter, F_x, F_y, F_z (or V),
 error_estimate, L_max, n_freq, exponent_scale.  Header comments echo
-every input needed to reproduce a row except the worker count, which
-cannot influence values: frequency points are evaluated independently
-and reduced by a fixed-order pairwise sum, so output bytes are
-identical for any ``--workers``.  Potential-type values (``V`` column)
-are written in units of hbar c / 4 pi.
+every input needed to reproduce a row.  Potential-type values (``V``
+column) are written in units of hbar c / 4 pi.
 
 Exit codes: 0 success; 2 scene/sweep validation; 3 numerical flag
 (non-finite result, error estimate dominating the value, gradient
@@ -42,7 +39,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -252,7 +248,7 @@ def _write_rows(out, comments, columns, rows):
 
 
 def _echo_comments(args, scene, extra=()):
-    skip = {"workers", "func", "out"}
+    skip = {"func", "out"}
     bits = []
     for key in sorted(vars(args)):
         if key in skip or vars(args)[key] is None:
@@ -280,13 +276,6 @@ def _apply_overrides(scene, args):
     if getattr(args, "temperature", None) is not None:
         scene = replace(scene, temperature_kelvin=args.temperature)
     return scene
-
-
-def _make_map_fn(workers):
-    if workers <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=workers)
-    return pool.map, pool
 
 
 def _parse_order(text):
@@ -317,103 +306,86 @@ def _gradient_audit(scene, rel_tol=1e-6):
 def run_force(args):
     scene = _apply_overrides(load_scene(args.scene), args)
     order = _parse_order(args.order)
-    map_fn, pool = _make_map_fn(args.workers)
-    try:
-        if args.sweep:
-            points = sweep_scenes(scene, parse_sweep(args.sweep))
-        else:
-            points = [(0.0, scene)]
-        rows = []
-        any_flagged = False
-        for param, sc in points:
-            if args.verify_gradient:
-                worst, ok = _gradient_audit(sc)
-                if not ok:
-                    print(f"gradient audit failed at sweep={param}: "
-                          f"max rel error {worst:.2e}", file=sys.stderr)
-                    return EXIT_NUMERICAL
-            res = casimir_force(sc, args.target, order=order, map_fn=map_fn)
-            err = float(np.max(res.error))
-            any_flagged |= _flagged(res.force, res.error)
-            rows.append((param, float(res.force[0]), float(res.force[1]),
-                         float(res.force[2]), err, res.l_max, res.n_freq,
-                         res.exponent_scale))
-        _write_rows(args.out, _echo_comments(args, scene),
-                    _FORCE_COLUMNS, rows)
-        if any_flagged:
-            print("numerical flag: error estimate dominates at least one "
-                  "row", file=sys.stderr)
-            return EXIT_NUMERICAL
-        return EXIT_OK
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if args.sweep:
+        points = sweep_scenes(scene, parse_sweep(args.sweep))
+    else:
+        points = [(0.0, scene)]
+    rows = []
+    any_flagged = False
+    for param, sc in points:
+        if args.verify_gradient:
+            worst, ok = _gradient_audit(sc)
+            if not ok:
+                print(f"gradient audit failed at sweep={param}: "
+                      f"max rel error {worst:.2e}", file=sys.stderr)
+                return EXIT_NUMERICAL
+        res = casimir_force(sc, args.target, order=order)
+        err = float(np.max(res.error))
+        any_flagged |= _flagged(res.force, res.error)
+        rows.append((param, float(res.force[0]), float(res.force[1]),
+                     float(res.force[2]), err, res.l_max, res.n_freq,
+                     res.exponent_scale))
+    _write_rows(args.out, _echo_comments(args, scene), _FORCE_COLUMNS, rows)
+    if any_flagged:
+        print("numerical flag: error estimate dominates at least one row",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def run_potential(args):
     scene = _apply_overrides(load_scene(args.scene), args)
-    map_fn, pool = _make_map_fn(args.workers)
-    try:
-        points = sweep_scenes(scene, parse_sweep(args.sweep))
-        positions = [sc.spheres[sc.index_of(args.target)].center_array
-                     for _, sc in points]
-        res = potential_along_path(scene, args.target, positions,
-                                   map_fn=map_fn)
-        four_pi = 4.0 * math.pi
-        rows = []
-        for i, (param, _) in enumerate(points):
-            rows.append((param, res.potential[i] * four_pi,
-                         res.error[i] * four_pi, res.l_max,
-                         res.n_freq_points[i], 0.0))
-        comments = _echo_comments(
-            args, scene,
-            (f"tail_exponent={res.tail_exponent} tail_ok={res.tail_ok}",))
-        _write_rows(args.out, comments, _SCALAR_COLUMNS, rows)
-        if not res.tail_ok or _flagged(res.potential, res.error):
-            print("numerical flag: power-law tail not established or "
-                  "error dominates", file=sys.stderr)
-            return EXIT_NUMERICAL
-        return EXIT_OK
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    points = sweep_scenes(scene, parse_sweep(args.sweep))
+    positions = [sc.spheres[sc.index_of(args.target)].center_array
+                 for _, sc in points]
+    res = potential_along_path(scene, args.target, positions)
+    four_pi = 4.0 * math.pi
+    rows = []
+    for i, (param, _) in enumerate(points):
+        rows.append((param, res.potential[i] * four_pi,
+                     res.error[i] * four_pi, res.l_max,
+                     res.n_freq_points[i], 0.0))
+    comments = _echo_comments(
+        args, scene,
+        (f"tail_exponent={res.tail_exponent} tail_ok={res.tail_ok}",))
+    _write_rows(args.out, comments, _SCALAR_COLUMNS, rows)
+    if not res.tail_ok or _flagged(res.potential, res.error):
+        print("numerical flag: power-law tail not established or "
+              "error dominates", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def run_three_body(args):
     scene = _apply_overrides(load_scene(args.scene), args)
-    map_fn, pool = _make_map_fn(args.workers)
-    try:
-        if args.sweep:
-            points = sweep_scenes(scene, parse_sweep(args.sweep))
-        else:
-            points = [(0.0, scene)]
-        rows = []
-        any_flagged = False
-        if args.quantity == "force":
-            for param, sc in points:
-                res = three_body_force(sc, args.target, map_fn=map_fn)
-                any_flagged |= not np.all(np.isfinite(res.force))
-                rows.append((param, float(res.force[0]), float(res.force[1]),
-                             float(res.force[2]), float(np.max(res.error)),
-                             res.l_max, res.n_freq, res.exponent_scale))
-            columns = _FORCE_COLUMNS
-        else:
-            four_pi = 4.0 * math.pi
-            for param, sc in points:
-                val, err, n_freq = three_body_energy(sc, map_fn=map_fn)
-                any_flagged |= not math.isfinite(val)
-                rows.append((param, val * four_pi, err * four_pi,
-                             sc.l_max, n_freq, 0.0))
-            columns = _SCALAR_COLUMNS
-        _write_rows(args.out, _echo_comments(args, scene), columns, rows)
-        if any_flagged:
-            print("numerical flag: non-finite three-body result",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
-        return EXIT_OK
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if args.sweep:
+        points = sweep_scenes(scene, parse_sweep(args.sweep))
+    else:
+        points = [(0.0, scene)]
+    rows = []
+    any_flagged = False
+    if args.quantity == "force":
+        for param, sc in points:
+            res = three_body_force(sc, args.target)
+            any_flagged |= not np.all(np.isfinite(res.force))
+            rows.append((param, float(res.force[0]), float(res.force[1]),
+                         float(res.force[2]), float(np.max(res.error)),
+                         res.l_max, res.n_freq, res.exponent_scale))
+        columns = _FORCE_COLUMNS
+    else:
+        four_pi = 4.0 * math.pi
+        for param, sc in points:
+            val, err, n_freq = three_body_energy(sc)
+            any_flagged |= not math.isfinite(val)
+            rows.append((param, val * four_pi, err * four_pi,
+                         sc.l_max, n_freq, 0.0))
+        columns = _SCALAR_COLUMNS
+    _write_rows(args.out, _echo_comments(args, scene), columns, rows)
+    if any_flagged:
+        print("numerical flag: non-finite three-body result",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def run_large_n(args):
@@ -532,9 +504,6 @@ def _add_common(p, target=True, sweep_required=False):
     p.add_argument("--temperature", type=float, default=None,
                    help="override the scene's temperature (kelvin)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads for frequency points; output is "
-                        "byte-identical for any value")
 
 
 def build_parser():

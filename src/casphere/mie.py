@@ -70,6 +70,14 @@ class DrudeLorentzPermittivity(PermittivityModel):
     """
     oscillators: tuple = field(default_factory=tuple)
 
+    def __post_init__(self):
+        for osc in self.oscillators:
+            if len(osc) != 3 or not all(map(math.isfinite, osc)) \
+                    or osc[0] < 0.0 or osc[2] < 0.0:
+                raise ValueError(
+                    f"oscillator {tuple(osc)!r}: need finite (amplitude >= 0, "
+                    "resonance, damping >= 0)")
+
     def eps_imag_freq(self, xi):
         out = 1.0
         for amp, res, gam in self.oscillators:
@@ -88,10 +96,10 @@ class TabulatedPermittivity(PermittivityModel):
         v = np.asarray(self.eps_values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape or g.size < 2:
             raise ValueError("need matching 1-d grids with >= 2 samples")
-        if np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0):
-            raise ValueError("xi grid must be positive and increasing")
-        if np.any(v <= 0.0):
-            raise ValueError("eps samples must be positive")
+        if not np.all(np.isfinite(g) & (g > 0.0)) or np.any(np.diff(g) <= 0.0):
+            raise ValueError("xi grid must be finite, positive and increasing")
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError("eps samples must be finite and positive")
 
     def eps_imag_freq(self, xi):
         g = np.log(np.asarray(self.xi_grid, dtype=float))

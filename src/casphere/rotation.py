@@ -68,12 +68,6 @@ def _scalar_rotation_cached(l_max, alpha, beta, gamma):
     return out
 
 
-def scalar_rotation(l_max, alpha, beta, gamma):
-    """Block-diagonal rotation over the (l, m) labels of one polarization."""
-    return _scalar_rotation_cached(int(l_max), float(alpha), float(beta),
-                                   float(gamma)).copy()
-
-
 def basis_rotation(basis: BasisSpec, alpha, beta, gamma):
     """Rotation matrix on the full basis (identical block per polarization).
 

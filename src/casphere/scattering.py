@@ -484,12 +484,8 @@ def _decay_scale(scene: SceneConfig):
     return 2.0 * math.sqrt(eps_b) * scene.min_gap
 
 
-def _spectral_value(scene: SceneConfig, f, map_fn=map):
-    """(value, error, n_freq) for Int f d xi or its Matsubara sum.
-
-    map_fn may evaluate the T = 0 quadrature nodes concurrently; the
-    Matsubara sum stops adaptively and stays sequential.
-    """
+def _spectral_value(scene: SceneConfig, f):
+    """(value, error, n_freq) for Int f d xi or its Matsubara sum."""
     count = {"n": 0}
 
     def counted(xi):
@@ -498,12 +494,8 @@ def _spectral_value(scene: SceneConfig, f, map_fn=map):
 
     t_red = scene.reduced_temperature
     if t_red == 0.0:
-        val, err = integrate_zero_t(counted if map_fn is map else f,
-                                    _decay_scale(scene), scene.spectral,
-                                    map_fn=map_fn)
-        if map_fn is not map:
-            count["n"] = scene.spectral.n_nodes * 2 \
-                + scene.spectral.check_nodes
+        val, err = integrate_zero_t(counted, _decay_scale(scene),
+                                    scene.spectral)
     else:
         val, err, _ = matsubara_sum(counted, t_red, scene.spectral)
     return val, err, count["n"]
@@ -516,7 +508,7 @@ def _si_force_factor(scene: SceneConfig):
 
 
 def casimir_force(scene: SceneConfig, target, order="resummed",
-                  truncation_error=True, map_fn=map):
+                  truncation_error=True):
     """Force on the target sphere with quadrature + truncation errors.
 
     The truncation estimate |F(l_max) - F(l_max - 1)| comes from the
@@ -525,7 +517,7 @@ def casimir_force(scene: SceneConfig, target, order="resummed",
     t, k = _force_args(scene, target, order)
     n_rows = 2 if truncation_error and scene.l_max >= 2 else 1
     val, qerr, n_freq = _spectral_value(
-        scene, lambda xi: _force_rows(scene, t, xi, k, n_rows)[0], map_fn)
+        scene, lambda xi: _force_rows(scene, t, xi, k, n_rows)[0])
     terr = np.abs(val[0] - val[1]) if n_rows == 2 else np.zeros(3)
     expo = 0.0
     if k is not None:
@@ -536,29 +528,27 @@ def casimir_force(scene: SceneConfig, target, order="resummed",
                        si_factor=_si_force_factor(scene))
 
 
-def interaction_energy(scene: SceneConfig, order="resummed",
-                       fixed_k=None, map_fn=map):
+def interaction_energy(scene: SceneConfig, *, fixed_k=None):
     """(energy, error, n_freq) in hbar c / L0; ln-det route."""
     if fixed_k is not None:
         f = lambda xi: energy_integrand_fixed(scene, xi, fixed_k)
     else:
         f = lambda xi: energy_integrand(scene, xi)
-    val, err, n_freq = _spectral_value(scene, f, map_fn)
+    val, err, n_freq = _spectral_value(scene, f)
     return float(val), float(err), n_freq
 
 
-def three_body_force(scene: SceneConfig, target, map_fn=map):
+def three_body_force(scene: SceneConfig, target):
     """F(target | other two) minus the two pair forces, same settings."""
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
-    full = casimir_force(scene, target, map_fn=map_fn)
+    full = casimir_force(scene, target)
     others = [s.label for s in scene.spheres if s.label != target]
     force = full.force.copy()
     error = full.error.copy()
     n_freq = full.n_freq
     for other in others:
-        pair = casimir_force(scene.subscene([target, other]), target,
-                             map_fn=map_fn)
+        pair = casimir_force(scene.subscene([target, other]), target)
         force -= pair.force
         error = error + pair.error
         n_freq += pair.n_freq
@@ -568,16 +558,16 @@ def three_body_force(scene: SceneConfig, target, map_fn=map):
                        si_factor=_si_force_factor(scene))
 
 
-def three_body_energy(scene: SceneConfig, map_fn=map):
+def three_body_energy(scene: SceneConfig):
     """(V3, error, n_freq): E(1,2,3) - E(1,2) - E(1,3) - E(2,3)."""
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
     labels = [s.label for s in scene.spheres]
-    val, err, n_freq = interaction_energy(scene, map_fn=map_fn)
+    val, err, n_freq = interaction_energy(scene)
     for i in range(3):
         for j in range(i + 1, 3):
             pv, pe, pn = interaction_energy(
-                scene.subscene([labels[i], labels[j]]), map_fn=map_fn)
+                scene.subscene([labels[i], labels[j]]))
             val -= pv
             err += pe
             n_freq += pn
@@ -585,7 +575,7 @@ def three_body_energy(scene: SceneConfig, map_fn=map):
 
 
 def potential_along_path(scene: SceneConfig, target, positions,
-                         tail_points=4, map_fn=map):
+                         tail_points=4):
     """Potential of the target along a receding path, zero at infinity.
 
     positions: (n, 3) target centers ordered by increasing separation
@@ -607,8 +597,7 @@ def potential_along_path(scene: SceneConfig, target, positions,
     errors = np.empty((n, 3))
     counts = np.empty(n, dtype=int)
     for i in range(n):
-        res = casimir_force(scene.moved(target, pos[i]), target,
-                            map_fn=map_fn)
+        res = casimir_force(scene.moved(target, pos[i]), target)
         forces[i] = res.force
         errors[i] = res.error
         counts[i] = res.n_freq

@@ -33,14 +33,11 @@ class SpectralSettings:
 
     n_nodes / check_nodes: Gauss-Laguerre size and the increment used
         for the error estimate; both >= 1, their sum <= 185.
-    adaptive: use scipy.integrate.quad instead (scalar integrands only).
     n_matsubara_max / matsubara_tail_tol: summation stop controls.
     xi_eps: seed for the zero-frequency Richardson extrapolation.
     """
     n_nodes: int = 40
     check_nodes: int = 8
-    adaptive: bool = False
-    rel_tol: float = 1e-8
     n_matsubara_max: int = 2000
     matsubara_tail_tol: float = 1e-10
     xi_eps: float = 1e-3
@@ -54,20 +51,16 @@ class SpectralSettings:
                              "n_nodes + check_nodes <= 185")
 
 
-def _gauss_laguerre_apply(f, decay_scale, n, map_fn=map):
-    # node evaluations are pure and independent; map_fn may fan them
-    # out, but the reduction below is a fixed-order pairwise sum, so
-    # the result is bit-identical for any worker count
+def _gauss_laguerre_apply(f, decay_scale, n):
     nodes, weights = roots_laguerre(n)
-    vals = list(map_fn(f, nodes / decay_scale))
     terms = np.stack([(w * math.exp(u) / decay_scale)
-                      * np.asarray(v, dtype=float)
-                      for u, w, v in zip(nodes, weights, vals)])
+                      * np.asarray(f(u / decay_scale), dtype=float)
+                      for u, w in zip(nodes, weights)])
     return np.sum(terms, axis=0)
 
 
-def integrate_zero_t(f, decay_scale, settings: SpectralSettings = SpectralSettings(),
-                     map_fn=map):
+def integrate_zero_t(f, decay_scale,
+                     settings: SpectralSettings = SpectralSettings()):
     """(value, error) for Int_0^inf f(xi) d xi.
 
     decay_scale sets the substitution u = decay_scale * xi; choose it
@@ -75,15 +68,9 @@ def integrate_zero_t(f, decay_scale, settings: SpectralSettings = SpectralSettin
     """
     if decay_scale <= 0.0:
         raise ValueError("decay_scale must be positive")
-    if settings.adaptive:
-        from scipy.integrate import quad
-        val, err = quad(lambda x: float(f(x)), 0.0, np.inf,
-                        epsrel=settings.rel_tol, limit=200)
-        return val, err
-    coarse = _gauss_laguerre_apply(f, decay_scale, settings.n_nodes, map_fn)
+    coarse = _gauss_laguerre_apply(f, decay_scale, settings.n_nodes)
     fine = _gauss_laguerre_apply(f, decay_scale,
-                                 settings.n_nodes + settings.check_nodes,
-                                 map_fn)
+                                 settings.n_nodes + settings.check_nodes)
     return fine, np.abs(fine - coarse)
 
 

@@ -48,7 +48,7 @@ def test_criterion_1_dipole_limit():
     t0 = time.time()
     scene = pair_scene(1.0, 1, eps=1.01, radius=0.01,
                        spectral=SpectralSettings())
-    energy, _, _ = interaction_energy(scene, map_fn=MAP)
+    energy, _, _ = interaction_energy(scene)
     alpha = 0.01 ** 3 * (1.01 - 1.0) / (1.01 + 2.0)
     closed = -23.0 * alpha * alpha / (4.0 * math.pi)
     ratio = energy / closed
@@ -63,14 +63,13 @@ def test_criterion_2_force_equals_energy_oracle_derivative():
     t0 = time.time()
     d, h = 6.0, 6.0e-3
     scene = pair_scene(d, 2, spectral=SpectralSettings())
-    force = casimir_force(scene, "b", truncation_error=False,
-                          map_fn=MAP).force[2]
+    force = casimir_force(scene, "b", truncation_error=False).force[2]
 
     def energy_at(dd):
         s = pair_scene(dd, 2, spectral=SpectralSettings())
         val, _ = integrate_zero_t(
             lambda xi: logdet_energy_oracle(s, xi) / (2.0 * math.pi),
-            2.0 * s.min_gap, map_fn=MAP)
+            2.0 * s.min_gap)
         return val
 
     fd = -(energy_at(d + h) - energy_at(d - h)) / (2.0 * h)
@@ -98,10 +97,8 @@ def test_criterion_3_newtons_third_law_random_scenes():
                      SphereSpec("b", center, r2,
                                 ConstantPermittivity(rng.uniform(1.5, 4.0)))),
             l_max=2, spectral=FAST)
-        fa = casimir_force(scene, "a", truncation_error=False,
-                           map_fn=MAP).force
-        fb = casimir_force(scene, "b", truncation_error=False,
-                           map_fn=MAP).force
+        fa = casimir_force(scene, "a", truncation_error=False).force
+        fb = casimir_force(scene, "b", truncation_error=False).force
         worst = max(worst, float(np.abs(fa + fb).max()
                                  / np.abs(fa).max()))
     ok = worst <= 1e-10
@@ -115,15 +112,13 @@ def test_criterion_4_separation_sweep_and_truncation():
     t0 = time.time()
     seps = np.linspace(3.0, 10.0, 50)
     fz3 = np.array([casimir_force(pair_scene(d, 3), "b",
-                                  truncation_error=False,
-                                  map_fn=MAP).force[2]
+                                  truncation_error=False).force[2]
                     for d in seps])
     attractive = bool(np.all(fz3 < 0.0))
     monotone = bool(np.all(np.diff(np.abs(fz3)) < 0.0))
     far = seps >= 4.0
     fz4 = np.array([casimir_force(pair_scene(d, 4), "b",
-                                  truncation_error=False,
-                                  map_fn=MAP).force[2]
+                                  truncation_error=False).force[2]
                     for d in seps[far]])
     rel = np.abs(fz4 / fz3[far] - 1.0)
     trunc = float(rel.max())
@@ -170,7 +165,7 @@ def test_criterion_5_three_body_grid():
     max_rev = max(max(reversals(row) for row in grid),
                   max(reversals(col) for col in grid.T))
     smooth = max_rev <= 3
-    far = three_body_force(scene_with_probe(100.0, 5.0), "c", map_fn=MAP)
+    far = three_body_force(scene_with_probe(100.0, 5.0), "c")
     negligible = bool(np.all(np.abs(far.force) <= far.error))
     elapsed = time.time() - t0
     ok = finite and mirror and smooth and negligible and elapsed < 600.0
@@ -188,8 +183,8 @@ def test_criterion_6_matsubara_continuity():
     t_kelvin = t_reduced * HBAR_C / (K_BOLTZMANN * unit)
     warm = pair_scene(d, 2, temperature_kelvin=t_kelvin, length_unit_m=unit)
     cold = pair_scene(d, 2)
-    fw = casimir_force(warm, "b", truncation_error=False, map_fn=MAP)
-    fc = casimir_force(cold, "b", truncation_error=False, map_fn=MAP)
+    fw = casimir_force(warm, "b", truncation_error=False)
+    fc = casimir_force(cold, "b", truncation_error=False)
     rel = abs(fw.force[2] / fc.force[2] - 1.0)
     ok = rel <= 5e-3
     line = verdict(6, "Matsubara continuity", ok,
@@ -252,15 +247,13 @@ def test_criterion_9_csv_determinism(tmp_path):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(doc), encoding="utf-8")
     outputs = []
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}.csv"
+    for run in (1, 2):
+        out = tmp_path / f"run{run}.csv"
         code = main(["force", "--scene", str(scene_path), "--target", "b",
-                     "--sweep", "b:z:3.0:5.0:3", "--workers", str(workers),
-                     "--out", str(out)])
+                     "--sweep", "b:z:3.0:5.0:3", "--out", str(out)])
         assert code == EXIT_OK
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1]
     line = verdict(9, "CSV determinism", ok,
-                   f"{len(outputs[0])} bytes identical for "
-                   "--workers 1 and 4", t0)
+                   f"{len(outputs[0])} bytes identical over two runs", t0)
     assert ok, line

@@ -149,11 +149,20 @@ def _nan_center(doc):
     return doc
 
 
+def _nan_drude(doc):
+    doc["spheres"][0]["permittivity"] = {
+        "model": "drude-lorentz", "oscillators": [[float("nan"), 1.0, 0.1]]}
+    return doc
+
+
 @pytest.mark.parametrize("doc, field", [
     (scene_doc(temperature_kelvin=float("nan")), "temperature_kelvin"),
     (_nan_center(scene_doc()), r"spheres\[1\]"),
     (scene_doc(spectral={"n_nodes": 178}), "spectral"),
-], ids=["temperature-nan", "center-nan", "too-many-nodes"])
+    (_nan_drude(scene_doc()), r"spheres\[0\]\.permittivity"),
+    (scene_doc(spectral={"adaptive": True}), "spectral"),
+], ids=["temperature-nan", "center-nan", "too-many-nodes", "drude-nan",
+        "adaptive-removed"])
 def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
                                                         doc, field):
     path = scene_file(tmp_path, doc)
@@ -223,19 +232,6 @@ def test_force_sweep_csv(tmp_path):
     assert all(int(r[5]) == 1 for r in rows)
     assert any(casphere.__version__ in c for c in comments)
     assert any("sweep=b:z:3.0:5.0:3" in c for c in comments)
-
-
-def test_force_csv_bytes_identical_across_workers(tmp_path):
-    path = scene_file(tmp_path, scene_doc())
-    outs = []
-    for workers in (1, 4):
-        out = tmp_path / f"force_w{workers}.csv"
-        code = main(["force", "--scene", path, "--target", "b",
-                     "--sweep", "b:z:3.0:5.0:3", "--workers", str(workers),
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_force_fixed_order_reports_exponent(tmp_path):

@@ -8,14 +8,14 @@ Independent routes checked against each other:
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from casphere.constants import HBAR_C
-from casphere.mie import ConstantPermittivity, mie_coefficient, mie_diag
+from casphere.mie import (ConstantPermittivity, DrudeLorentzPermittivity,
+                          TabulatedPermittivity, mie_coefficient, mie_diag)
 from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  energy_integrand, energy_integrand_fixed,
                                  force_integrand, interaction_energy,
@@ -27,8 +27,6 @@ from casphere.translation import KIND_OUTGOING, _gradient_stack
 
 EPS4 = ConstantPermittivity(4.0)
 FAST = SpectralSettings(n_nodes=24, check_nodes=8)
-_POOL = ThreadPoolExecutor(max_workers=8)
-MAP = _POOL.map
 
 
 def two_spheres(d=3.0, l_max=3, r1=1.0, r2=1.0, eps=EPS4):
@@ -203,12 +201,10 @@ def test_dipole_limit_matches_dyadic_force_law():
 
 def test_force_is_minus_energy_gradient():
     sc = two_spheres(l_max=3)
-    res = casimir_force(sc, "b", truncation_error=False, map_fn=MAP)
+    res = casimir_force(sc, "b", truncation_error=False)
     h = 1e-4
-    e_hi, _, _ = interaction_energy(sc.moved("b", (0.0, 0.0, 3.0 + h)),
-                                    map_fn=MAP)
-    e_lo, _, _ = interaction_energy(sc.moved("b", (0.0, 0.0, 3.0 - h)),
-                                    map_fn=MAP)
+    e_hi, _, _ = interaction_energy(sc.moved("b", (0.0, 0.0, 3.0 + h)))
+    e_lo, _, _ = interaction_energy(sc.moved("b", (0.0, 0.0, 3.0 - h)))
     fd = -(e_hi - e_lo) / (2.0 * h)
     assert res.force[2] < 0.0
     assert res.force[2] == pytest.approx(fd, rel=1e-6)
@@ -216,11 +212,11 @@ def test_force_is_minus_energy_gradient():
 
 def test_newtons_third_law():
     sc = two_spheres(l_max=3)
-    fa = casimir_force(sc, "a", truncation_error=False, map_fn=MAP).force
-    fb = casimir_force(sc, "b", truncation_error=False, map_fn=MAP).force
+    fa = casimir_force(sc, "a", truncation_error=False).force
+    fb = casimir_force(sc, "b", truncation_error=False).force
     assert np.abs(fa + fb).max() < 1e-12 * np.abs(fb).max()
     s3 = three_spheres()
-    forces = [casimir_force(s3, lab, truncation_error=False, map_fn=MAP).force
+    forces = [casimir_force(s3, lab, truncation_error=False).force
               for lab in "abc"]
     net = np.sum(forces, axis=0)
     scale = np.abs(forces).max()
@@ -235,8 +231,8 @@ def test_translation_invariance():
                                  s.radius, s.permittivity)
                       for s in s3.spheres),
         l_max=s3.l_max)
-    f1 = casimir_force(s3, "c", truncation_error=False, map_fn=MAP).force
-    f2 = casimir_force(moved, "c", truncation_error=False, map_fn=MAP).force
+    f1 = casimir_force(s3, "c", truncation_error=False).force
+    f2 = casimir_force(moved, "c", truncation_error=False).force
     assert np.abs(f1 - f2).max() < 1e-12 * np.abs(f1).max()
 
 
@@ -255,20 +251,18 @@ def test_rotation_covariance():
                                  s.radius, s.permittivity)
                       for s in s3.spheres),
         l_max=s3.l_max)
-    f = casimir_force(s3, "c", truncation_error=False, map_fn=MAP).force
-    f_r = casimir_force(rotated, "c", truncation_error=False,
-                        map_fn=MAP).force
+    f = casimir_force(s3, "c", truncation_error=False).force
+    f_r = casimir_force(rotated, "c", truncation_error=False).force
     assert np.abs(f_r - rot @ f).max() < 1e-10 * np.abs(f).max()
 
 
 def test_fixed_order_result_reports_exponent_scale():
     sc = two_spheres(d=2.6, l_max=1)
-    res = casimir_force(sc, "b", order="fixed(2)", truncation_error=False,
-                        map_fn=MAP)
+    res = casimir_force(sc, "b", order="fixed(2)", truncation_error=False)
     # reference frequency 1/(2 min_gap) makes the tracked 2-event
     # exponent -d_center/min_gap
     assert res.exponent_scale == pytest.approx(-2.6 / 0.6, rel=1e-15)
-    full = casimir_force(sc, "b", truncation_error=False, map_fn=MAP)
+    full = casimir_force(sc, "b", truncation_error=False)
     assert full.exponent_scale == 0.0
     assert abs(res.force[2]) < abs(full.force[2])
     assert res.force[2] < 0.0
@@ -278,7 +272,7 @@ def test_fixed_order_result_reports_exponent_scale():
 
 def test_three_body_forces_sum_to_zero():
     s3 = three_spheres(l_max=1)
-    tb = [three_body_force(s3, lab, map_fn=MAP).force for lab in "abc"]
+    tb = [three_body_force(s3, lab).force for lab in "abc"]
     net = np.sum(tb, axis=0)
     scale = np.abs(tb).max()
     assert scale > 0.0
@@ -287,8 +281,8 @@ def test_three_body_forces_sum_to_zero():
 
 def test_three_body_force_is_a_correction():
     s3 = three_spheres()
-    tb = three_body_force(s3, "c", map_fn=MAP)
-    full = casimir_force(s3, "c", truncation_error=False, map_fn=MAP).force
+    tb = three_body_force(s3, "c")
+    full = casimir_force(s3, "c", truncation_error=False).force
     pair_sum = full - tb.force
     assert np.abs(tb.force).max() < 0.05 * np.abs(pair_sum).max()
     assert tb.order == "three-body"
@@ -296,8 +290,8 @@ def test_three_body_force_is_a_correction():
 
 def test_three_body_energy_decomposition():
     s3 = three_spheres(l_max=1)
-    v3, err, n_freq = three_body_energy(s3, map_fn=MAP)
-    e_full, _, _ = interaction_energy(s3, map_fn=MAP)
+    v3, err, n_freq = three_body_energy(s3)
+    e_full, _, _ = interaction_energy(s3)
     assert abs(v3) < 0.1 * abs(e_full)
     assert np.isfinite(err) and n_freq > 0
     with pytest.raises(ValueError):
@@ -312,7 +306,7 @@ def test_potential_along_path_integrates_force():
     sc = two_spheres(l_max=1)
     seps = np.geomspace(3.0, 9.0, 25)
     path = np.stack([np.zeros_like(seps), np.zeros_like(seps), seps], axis=1)
-    res = potential_along_path(sc, "b", path, map_fn=MAP)
+    res = potential_along_path(sc, "b", path)
     assert res.tail_ok
     assert 6.0 < res.tail_exponent < 9.0
     # potential is attractive and decays monotonically to zero
@@ -320,11 +314,11 @@ def test_potential_along_path_integrates_force():
     assert np.all(np.diff(res.potential) > 0.0)
     # fundamental theorem: matches the directly integrated energy
     for i in (0, 12):
-        e_i, _, _ = interaction_energy(sc.moved("b", path[i]), map_fn=MAP)
+        e_i, _, _ = interaction_energy(sc.moved("b", path[i]))
         assert res.potential[i] == pytest.approx(e_i, rel=0.05)
     assert res.potential_4pi[0] == pytest.approx(
         4.0 * math.pi * res.potential[0])
-    single = potential_along_path(sc, "b", [[0.0, 0.0, 5.0]], map_fn=MAP)
+    single = potential_along_path(sc, "b", [[0.0, 0.0, 5.0]])
     assert single.potential[0] == 0.0
     assert not single.tail_ok
 
@@ -333,8 +327,8 @@ def test_finite_temperature_run():
     warm = SceneConfig(spheres=two_spheres(l_max=2).spheres, l_max=2,
                        temperature_kelvin=300.0, length_unit_m=1e-6)
     cold = SceneConfig(spheres=warm.spheres, l_max=2)
-    f_warm = casimir_force(warm, "b", truncation_error=False, map_fn=MAP)
-    f_cold = casimir_force(cold, "b", truncation_error=False, map_fn=MAP)
+    f_warm = casimir_force(warm, "b", truncation_error=False)
+    f_cold = casimir_force(cold, "b", truncation_error=False)
     assert f_warm.force[2] < 0.0
     assert 0 < f_warm.n_freq < 500
     # thermal photons strengthen micron-scale attraction, within reason
@@ -345,10 +339,9 @@ def test_finite_temperature_run():
 def test_si_conversion():
     sc = SceneConfig(spheres=two_spheres().spheres, l_max=1,
                      length_unit_m=1e-6)
-    res = casimir_force(sc, "b", truncation_error=False, map_fn=MAP)
+    res = casimir_force(sc, "b", truncation_error=False)
     assert res.si_factor == pytest.approx(HBAR_C / 1e-6 ** 2, rel=1e-15)
-    bare = casimir_force(two_spheres(l_max=1), "b", truncation_error=False,
-                         map_fn=MAP)
+    bare = casimir_force(two_spheres(l_max=1), "b", truncation_error=False)
     assert bare.si_factor == 0.0
     with pytest.raises(ValueError):
         bare.force_si
@@ -392,8 +385,16 @@ NAN, INF = float("nan"), float("inf")
                          temperature_kelvin=NAN), "temperature_kelvin"),
     (lambda: SceneConfig(spheres=two_spheres().spheres,
                          length_unit_m=NAN), "length_unit_m"),
+    (lambda: DrudeLorentzPermittivity(((NAN, 1.0, 0.1),)), "oscillator"),
+    (lambda: DrudeLorentzPermittivity(((1.0, 0.1),)), "oscillator"),
+    (lambda: DrudeLorentzPermittivity(((-5.0, 1.0, 0.1),)), "oscillator"),
+    (lambda: DrudeLorentzPermittivity(((5.0, 1.0, -0.1),)), "oscillator"),
+    (lambda: TabulatedPermittivity((1.0, 2.0), (2.0, NAN)), "eps samples"),
+    (lambda: TabulatedPermittivity((1.0, NAN), (2.0, 2.0)), "xi grid"),
 ], ids=["center-nan", "center-inf", "radius-nan", "radius-inf", "eps-nan",
-        "eps-inf", "temperature-nan", "length-unit-nan"])
+        "eps-inf", "temperature-nan", "length-unit-nan", "drude-nan",
+        "drude-two-entries", "drude-negative-amplitude",
+        "drude-negative-damping", "tabulated-eps-nan", "tabulated-xi-nan"])
 def test_non_finite_input_is_rejected_at_construction(build, names):
     with pytest.raises(ValueError, match=names):
         build()
@@ -416,7 +417,7 @@ def test_scene_plumbing():
             np.linalg.norm([2.9, 0, -1.8]) - 1.8))
 
 
-def test_evaluation_argument_errors():
+def test_evaluation_argument_errors(monkeypatch):
     sc = two_spheres(l_max=1)
     with pytest.raises(ValueError):
         force_integrand(sc, "b", 0.0)
@@ -426,20 +427,24 @@ def test_evaluation_argument_errors():
         force_integrand(sc, "b", 1.0, "cubic")
     with pytest.raises(KeyError):
         force_integrand(sc, "nope", 1.0)
-    colon = casimir_force(sc, "b", order="fixed:2", map_fn=MAP)
-    paren = casimir_force(sc, "b", order="fixed(2)", map_fn=MAP)
+    colon = casimir_force(sc, "b", order="fixed:2")
+    paren = casimir_force(sc, "b", order="fixed(2)")
     assert np.array_equal(colon.force, paren.force)
     assert colon.exponent_scale == paren.exponent_scale
-    evaluated = []
+    import casphere.scattering as scattering
+    calls = []
 
-    def spy(f, xs):
-        evaluated.append(f)
-        return map(f, xs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mie_diag(*args, **kwargs)
 
+    monkeypatch.setattr(scattering, "mie_diag", counted)
     for bad in ("cubic", "fixed(1)", "fixed:", "fixed(2", "fixed(k)"):
         with pytest.raises(ValueError):
-            casimir_force(sc, "b", order=bad, map_fn=spy)
-    assert evaluated == []
+            casimir_force(sc, "b", order=bad)
+    assert calls == []
+    with pytest.raises(TypeError):
+        interaction_energy(sc, order="fixed(2)")
     lone = SceneConfig(spheres=(SphereSpec("a", (0, 0, 0), 1.0, EPS4),))
     with pytest.raises(ValueError):
         casimir_force(lone, "a")

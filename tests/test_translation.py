@@ -16,7 +16,8 @@ import pytest
 import helpers
 from casphere.basis import (POL_TM, basis_enumerate, real_combination_matrix)
 from casphere.translation import (KIND_OUTGOING, KIND_REGULAR,
-                                  axial_translation, translation_matrix,
+                                  _gradient_stack, axial_translation,
+                                  translation_matrix,
                                   translation_matrix_direct)
 
 KAPPA = 1.0
@@ -163,15 +164,25 @@ def test_rotation_route_matches_direct_angular_series():
 
 
 def test_reciprocity_under_displacement_reversal():
-    # A(-d) = P A(d) P with P = diag((-1)^{l+pol})
-    basis = basis_enumerate(2)
-    dvec = np.array([1.3, -0.8, 2.1])
-    a_p = translation_matrix(basis, KIND_OUTGOING, KAPPA, dvec)
-    a_m = translation_matrix(basis, KIND_OUTGOING, KAPPA, -dvec)
+    # A(-d) = P A(d) P and grad A(-d) = -P grad A(d) P with
+    # P = diag((-1)^{l+pol}); the exponent depends on |d| only
+    basis = basis_enumerate(3)
     par = np.array([(-1.0) ** (l + pol) for (pol, l, m) in basis.labels()])
-    want = par[:, None] * a_p.matrix * par[None, :]
-    scale = np.abs(a_p.matrix).max()
-    assert np.abs(a_m.matrix - want).max() < 1e-12 * scale
+    pp = par[:, None] * par[None, :]
+    for dvec in ([1.3, -0.8, 2.1], [0.0, 0.0, 2.7], [2.4, 0.0, 0.0]):
+        dvec = np.array(dvec)
+        for kappa in (KAPPA, 0.3):
+            a_p = translation_matrix(basis, KIND_OUTGOING, kappa, dvec)
+            a_m = translation_matrix(basis, KIND_OUTGOING, kappa, -dvec)
+            assert a_m.exponent == a_p.exponent
+            scale = np.abs(a_p.matrix).max()
+            assert np.abs(a_m.matrix - pp * a_p.matrix).max() \
+                < 1e-13 * scale
+            g_p, e_p = _gradient_stack(basis, KIND_OUTGOING, kappa, dvec)
+            g_m, e_m = _gradient_stack(basis, KIND_OUTGOING, kappa, -dvec)
+            assert e_m == e_p
+            scale = np.abs(g_p).max()
+            assert np.abs(g_m + pp * g_p).max() < 1e-13 * scale
 
 
 def test_large_distance_leading_behavior():
