@@ -152,7 +152,7 @@ def parse_scene(doc):
         return SceneConfig(
             spheres=tuple(spheres),
             background=background,
-            l_max=int(doc.get("l_max", 3)),
+            l_max=doc.get("l_max", 3),
             temperature_kelvin=float(doc.get("temperature_kelvin", 0.0)),
             length_unit_m=length_unit_m,
             spectral=spectral)
@@ -430,15 +430,15 @@ def _selfcheck_rows():
         rows.append((name, err, tol, "pass" if err <= tol else "FAIL"))
 
     # Wronskian of the radial pair: i_l e_l' - e_l i_l' = (-1)^(l+1)/x^2
+    l = np.arange(6)
     worst = 0.0
-    for l in range(0, 6):
-        for x in (0.3, 2.0, 17.0):
-            i_v = mod_sph_bessel("i", l, x)
-            e_v = (-1) ** l * (2 / math.pi) * mod_sph_bessel("k", l, x)
-            i_d = mod_sph_bessel_dx("i", l, x)
-            e_d = (-1) ** l * (2 / math.pi) * mod_sph_bessel_dx("k", l, x)
-            want = (-1.0) ** (l + 1) / x ** 2
-            worst = max(worst, abs(i_v * e_d - e_v * i_d - want) / abs(want))
+    for x in (0.3, 2.0, 17.0):
+        i_v, i_d = mod_sph_bessel("i", l, x), mod_sph_bessel_dx("i", l, x)
+        e_v = (-1) ** l * (2 / math.pi) * mod_sph_bessel("k", l, x)
+        e_d = (-1) ** l * (2 / math.pi) * mod_sph_bessel_dx("k", l, x)
+        want = (-1.0) ** (l + 1) / x ** 2
+        worst = max(worst, np.max(np.abs(i_v * e_d - e_v * i_d - want)
+                                  / np.abs(want)))
     add("radial Wronskian", worst, 1e-11)
 
     basis = basis_enumerate(2)

@@ -10,8 +10,8 @@ Conventions (fixed here once, relied on everywhere):
 * Spherical harmonics are fully normalized with the Condon-Shortley
   phase folded into the associated Legendre function:
       Y_lm(theta, phi) = P~_lm(cos theta) * exp(i m phi),
-  where P~_lm is ``specfun.assoc_legendre`` and
-  P~_{l,-m} = (-1)^m P~_lm.
+  where P~_lm is computed for every (l, m) up to l_max in one recurrence
+  pass by ``specfun.legendre_table`` and P~_{l,-m} = (-1)^m P~_lm.
 
 * All spectral quantities live on the imaginary frequency axis
   omega = i xi with xi >= 0.  The background wavenumber is

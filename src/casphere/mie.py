@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, POL_TE, POL_TM
+from .basis import BasisSpec
 from .specfun import RadialKind, riccati_ik
 
 _EXP_LIMIT = 700.0
@@ -110,53 +110,43 @@ class TabulatedPermittivity(PermittivityModel):
 
 # ------------------------------------------------------- Mie coefficients
 
-def _riccati_pair(l, x):
-    """((i_l, S_l'), (e_l, E_l')) scaled by e^{-x} and e^{+x}."""
-    zi, spi = riccati_ik(RadialKind.REGULAR, l, x, scaled=True)
-    zk, spk = riccati_ik(RadialKind.DECAYING, l, x, scaled=True)
-    sgn = (-1.0) ** l * (2.0 / math.pi)
-    return (float(zi), float(spi)), (sgn * float(zk), sgn * float(spk))
-
-
 def mie_coefficient(pol, l, x, eps_rel, scaled=False):
-    """T_{pol,l} for background argument x = n_B xi R > 0.
+    """T_{pol,l} for background argument x = n_B xi R > 0, one entry of
+    ``mie_diag``.
 
     With scaled=True returns T e^{-2x}, finite for any x.
+    """
+    basis = BasisSpec(l)
+    return float(mie_diag(basis, x, eps_rel, scaled)[basis.index(pol, l, 0)])
+
+
+def mie_diag(basis: BasisSpec, x, eps_rel, scaled=False):
+    """Diagonal of the T-matrix over the basis, as a vector of length D.
+
+    The Riccati values are computed once for l = 1..l_max and shared by
+    TE and TM; with scaled=True the entries are T e^{-2x}.
     """
     if x <= 0.0:
         raise ValueError("x = n_B xi R must be positive")
     if eps_rel <= 0.0:
         raise ValueError("relative permittivity must be positive")
     if eps_rel == 1.0:
-        return 0.0
-    xs = math.sqrt(eps_rel) * x
-    (ib, spb), (eb, epb) = _riccati_pair(l, x)
-    (is_, sps), _ = _riccati_pair(l, xs)
+        return np.zeros(basis.size)
+    l = np.arange(1, basis.l_max + 1)
+    # i_l, S_l' scaled by e^{-x}, e_l = (-1)^l (2/pi) k_l, E_l' by e^{+x}
+    ib, spb = riccati_ik(RadialKind.REGULAR, l, x, scaled=True)
+    is_, sps = riccati_ik(RadialKind.REGULAR, l, math.sqrt(eps_rel) * x,
+                          scaled=True)
+    eb, epb = ((-1.0) ** l * (2.0 / math.pi) * v
+               for v in riccati_ik(RadialKind.DECAYING, l, x, scaled=True))
     # common scale e^{x+xs} in numerators, e^{-x+xs} in denominators
-    if pol == POL_TE:
-        num = spb * is_ - ib * sps
-        den = eb * sps - epb * is_
-    elif pol == POL_TM:
-        num = ib * sps - eps_rel * spb * is_
-        den = eps_rel * epb * is_ - eb * sps
-    else:
-        raise ValueError("pol must be 0 (TE) or 1 (TM)")
-    t_scaled = num / den
-    if scaled:
-        return t_scaled
-    if 2.0 * x > _EXP_LIMIT:
-        raise OverflowError(
-            f"unscaled T_l overflows for 2 n_B xi R > {_EXP_LIMIT}; "
-            "use scaled=True")
-    return t_scaled * math.exp(2.0 * x)
-
-
-def mie_diag(basis: BasisSpec, x, eps_rel, scaled=False):
-    """Diagonal of the T-matrix over the basis, as a vector of length D."""
-    out = np.empty(basis.size)
-    for pol in (POL_TE, POL_TM):
-        for l in range(1, basis.l_max + 1):
-            t = mie_coefficient(pol, l, x, eps_rel, scaled=scaled)
-            i0 = basis.index(pol, l, -l)
-            out[i0:i0 + 2 * l + 1] = t
-    return out
+    t_te = (spb * is_ - ib * sps) / (eb * sps - epb * is_)
+    t_tm = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
+    t = np.concatenate([t_te, t_tm])
+    if not scaled:
+        if 2.0 * x > _EXP_LIMIT:
+            raise OverflowError(
+                f"unscaled T_l overflows for 2 n_B xi R > {_EXP_LIMIT}; "
+                "use scaled=True")
+        t = t * math.exp(2.0 * x)
+    return np.repeat(t, np.tile(2 * l + 1, 2))

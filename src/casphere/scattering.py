@@ -34,6 +34,7 @@ round trip.
 """
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 
@@ -42,11 +43,14 @@ import numpy as np
 from .basis import BasisSpec, basis_enumerate
 from .constants import C_LIGHT, HBAR_C, matsubara_scale
 from .mie import ConstantPermittivity, PermittivityModel, mie_diag
+from .specfun import L_HARD_CAP
 from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
 from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
 _RENORM = 1e100
+# translation tables reach order 2 l_max + 1, their gradients one more
+_L_MAX_CAP = (L_HARD_CAP - 2) // 2
 
 
 # ----------------------------------------------------------------- scene
@@ -92,8 +96,10 @@ class SceneConfig:
         labels = [s.label for s in self.spheres]
         if len(set(labels)) != len(labels):
             raise ValueError("sphere labels must be unique")
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
+        if not isinstance(self.l_max, numbers.Integral) \
+                or not 1 <= self.l_max <= _L_MAX_CAP:
+            raise ValueError(f"l_max must be an integer in [1, {_L_MAX_CAP}], "
+                             f"got {self.l_max!r}")
         if not 0.0 <= self.temperature_kelvin < math.inf:
             raise ValueError("temperature_kelvin must be finite and >= 0")
         if not 0.0 <= self.length_unit_m < math.inf:

@@ -4,7 +4,9 @@ Bessel-family evaluations wrap scipy.special where scipy already
 implements the stable recurrence choices; this module pins the
 conventions, adds exponentially scaled variants that stay finite at
 large argument, enforces the order hard cap, and provides
-exact-arithmetic Wigner 3j / Gaunt coefficients.
+exact-arithmetic Wigner 3j / Gaunt coefficients.  Every order argument
+may be an integer array: one call returns a whole table of orders, each
+entry bit-identical to the scalar call.
 
 Conventions:
     i_l(x) = sqrt(pi/(2x)) I_{l+1/2}(x)     regular modified
@@ -14,7 +16,9 @@ Conventions:
     Wronskian: i_l(x) k_l'(x) - i_l'(x) k_l(x) = -pi/(2 x^2)
 
 Associated Legendre functions are fully normalized including the
-Condon-Shortley phase, so Y_lm = assoc_legendre(l, m, cos theta) e^{i m phi}.
+Condon-Shortley phase; ``legendre_table`` computes P~_lm for every
+(l, m) up to l_max in one recurrence pass, and
+Y_lm = P~_lm(cos theta) e^{i m phi}.
 """
 
 import math
@@ -37,43 +41,16 @@ class RadialKind(Enum):
 
 
 def _check_l(l):
-    l = int(l)
-    if l < 0 or l > L_HARD_CAP:
+    """Orders as an int array (0-d for a scalar), each in [0, L_HARD_CAP]."""
+    l = np.asarray(l).astype(int)
+    if np.any((l < 0) | (l > L_HARD_CAP)):
         raise ValueError(f"order l={l} outside [0, {L_HARD_CAP}] (L_HARD_CAP)")
     return l
 
 
-def _dfact(n):
-    """Double factorial n!! for odd n >= -1, as float."""
-    out = 1
-    for k in range(n, 1, -2):
-        out *= k
-    return float(out)
-
-
-# ----------------------------------------------------------------------
-# real-axis spherical Bessel / Hankel
-# ----------------------------------------------------------------------
-
-def _check_x_positive(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("argument x must be finite and positive")
-    return x
-
-
-def sph_bessel_j(l, x, derivative=False):
-    """Spherical Bessel function j_l(x) on the real axis, x > 0."""
-    l = _check_l(l)
-    return _sp.spherical_jn(l, _check_x_positive(x), derivative=derivative)
-
-
-def sph_hankel_plus(l, x, derivative=False):
-    """Outgoing spherical Hankel function h_l^+(x) = j_l(x) + i y_l(x), x > 0."""
-    l = _check_l(l)
-    x = _check_x_positive(x)
-    return (_sp.spherical_jn(l, x, derivative=derivative)
-            + 1j * _sp.spherical_yn(l, x, derivative=derivative))
+# (2l+1)!! for every admissible order, exact integers rounded once
+_DFACT_ODD = np.array([float(math.prod(range(2 * l + 1, 1, -2)))
+                       for l in range(L_HARD_CAP + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +66,8 @@ def mod_sph_bessel(kind, l, x, scaled=False):
     Parameters
     ----------
     kind : RadialKind or {"i", "k"}
-    l : int
+    l : int or int array
+        Orders; they broadcast against x.  A scalar l and x give a float.
     x : float or array
     scaled : bool
         If True return i_l(x) e^{-x} (regular) or k_l(x) e^{+x}
@@ -103,17 +81,19 @@ def mod_sph_bessel(kind, l, x, scaled=False):
     kind = RadialKind(kind)
     l = _check_l(l)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
+    scalar = l.ndim == 0 and x.ndim == 0
     if np.any(x < 0):
         raise ValueError("mod_sph_bessel requires x >= 0")
+    l, x = (np.atleast_1d(a) for a in np.broadcast_arrays(l, x))
     if kind is RadialKind.REGULAR:
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.sqrt(np.pi / (2.0 * x)) * _sp.ive(l + 0.5, x)
         small = x < 1e-5
         if np.any(small):
             xs = np.where(small, x, 1.0)
-            ser = (xs**l / _dfact(2 * l + 1)
+            # numpy's xs**2 for a scalar l = 2 is xs*xs; keep its floats
+            xl = np.where(l == 2, xs * xs, xs ** l)
+            ser = (xl / _DFACT_ODD[l]
                    * (1.0 + xs * xs / (2.0 * (2 * l + 3))) * np.exp(-xs))
             out = np.where(small, ser, out)
         if not scaled:
@@ -122,12 +102,12 @@ def mod_sph_bessel(kind, l, x, scaled=False):
                     f"unscaled i_l overflows for x > {_X_OVERFLOW}; use scaled=True")
             out = out * np.exp(x)
     else:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             acc = np.ones_like(x)
             term = np.ones_like(x)
-            for k in range(1, l + 1):
+            for k in range(1, int(l.max(initial=0)) + 1):
                 term = term * ((l + k) * (l - k + 1) / (2.0 * k)) / x
-                acc = acc + term
+                acc = np.where(k <= l, acc + term, acc)
             out = (np.pi / 2.0) * acc / x
         if not scaled:
             out = out * np.exp(-x)
@@ -140,21 +120,18 @@ def mod_sph_bessel_dx(kind, l, x, scaled=False):
     """d/dx of i_l or k_l; with scaled=True, (i_l)' e^{-x} or (k_l)' e^{+x}.
 
     Uses i_l' = i_{l-1} - (l+1)/x i_l and k_l' = -k_{l-1} - (l+1)/x k_l
-    (with i_{-1}(x) = cosh(x)/x and k_{-1} = k_0).
+    for l >= 1, i_0' = i_1 and k_0' = -k_0 - k_0/x.  Orders broadcast
+    as in ``mod_sph_bessel``.
     """
     kind = RadialKind(kind)
     l = _check_l(l)
     x = np.asarray(x, dtype=float)
+    here = mod_sph_bessel(kind, l, x, scaled=scaled)
     if kind is RadialKind.REGULAR:
-        if l == 0:
-            return mod_sph_bessel(kind, 1, x, scaled=scaled)
-        lower = mod_sph_bessel(kind, l - 1, x, scaled=scaled)
-        here = mod_sph_bessel(kind, l, x, scaled=scaled)
-        return lower - (l + 1) / x * here
-    else:
-        lower = mod_sph_bessel(kind, max(l - 1, 0), x, scaled=scaled)
-        here = mod_sph_bessel(kind, l, x, scaled=scaled)
-        return -lower - (l + 1) / x * here
+        lower = mod_sph_bessel(kind, np.abs(l - 1), x, scaled=scaled)
+        return np.where(l == 0, lower, lower - (l + 1) / x * here)[()]
+    lower = mod_sph_bessel(kind, np.maximum(l - 1, 0), x, scaled=scaled)
+    return -lower - (l + 1) / x * here
 
 
 def riccati_ik(kind, l, x, scaled=False):
@@ -168,59 +145,62 @@ def riccati_ik(kind, l, x, scaled=False):
 # normalized associated Legendre
 # ----------------------------------------------------------------------
 
+def legendre_table(l_max, u):
+    """Fully normalized P~_lm(u), CS phase included, for all |m| <= l <= l_max.
+
+    Indexed [..., l, m + l_max] over the shape of u; entries with |m| > l
+    are 0.  One pass per argument: the sectoral seeds P~_mm, then the
+    upward recurrence in l for every m at once.
+    Example: legendre_table(1, u)[..., 1, 1] = sqrt(3/4pi) u.
+    """
+    l_max = int(_check_l(l_max))
+    u = np.asarray(u, dtype=float)
+    if np.any(np.abs(u) > 1 + 1e-12):
+        raise ValueError("Legendre argument u must satisfy |u| <= 1")
+    s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    pos = np.zeros(u.shape + (l_max + 1, l_max + 1))    # [..., l, m >= 0]
+    pos[..., 0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for k in range(1, l_max + 1):
+        pos[..., k, k] = -math.sqrt((2 * k + 1) / (2.0 * k)) * s \
+            * pos[..., k - 1, k - 1]
+    m = np.arange(l_max)
+    pos[..., m + 1, m] = np.sqrt(2 * m + 3.0) * u[..., None] * pos[..., m, m]
+    for ll in range(2, l_max + 1):
+        m = np.arange(ll - 1)
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
+        b = np.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+        pos[..., ll, :ll - 1] = a * (u[..., None] * pos[..., ll - 1, :ll - 1]
+                                     - b * pos[..., ll - 2, :ll - 1])
+    # P~_{l,-m} = (-1)^m P~_lm
+    neg = (-1.0) ** np.arange(l_max, 0, -1) * pos[..., :0:-1]
+    return np.concatenate([neg, pos], axis=-1)
+
+
 def assoc_legendre(l, m, u):
     """Fully normalized associated Legendre P~_lm(u), CS phase included.
 
-    Y_lm(theta, phi) = assoc_legendre(l, m, cos theta) * exp(i m phi).
+    Y_lm(theta, phi) = assoc_legendre(l, m, cos theta) e^{i m phi}.
     Example: assoc_legendre(1, 0, u) = sqrt(3/4pi) u.
     """
-    l = _check_l(l)
+    l = int(_check_l(l))
     m = int(m)
     if abs(m) > l:
         raise ValueError(f"|m|={abs(m)} exceeds l={l}")
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u).astype(float)
-    if np.any(np.abs(u) > 1 + 1e-12):
-        raise ValueError("assoc_legendre requires |u| <= 1")
-    sign = 1.0
-    if m < 0:
-        sign = (-1.0) ** (-m)
-        m = -m
-    s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    # sectoral seed P~_mm, then upward recurrence in l
-    p0 = np.full_like(u, 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(1, m + 1):
-        p0 = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * p0
-    if l > m:
-        p1 = math.sqrt(2 * m + 3.0) * u * p0
-        for ll in range(m + 2, l + 1):
-            a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-            b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-            p0, p1 = p1, a * (u * p1 - b * p0)
-        p0 = p1
-    out = sign * p0
-    if scalar:
-        return float(out[0])
-    return out
-
-
-def assoc_legendre_dtheta(l, m, u):
-    """d/dtheta of P~_lm(cos theta), via the exact m-ladder identity."""
-    l = _check_l(l)
-    m = int(m)
-    out = 0.0
-    if abs(m + 1) <= l:
-        out = 0.5 * math.sqrt((l - m) * (l + m + 1.0)) * assoc_legendre(l, m + 1, u)
-    if abs(m - 1) <= l:
-        out = out - 0.5 * math.sqrt((l + m) * (l - m + 1.0)) * assoc_legendre(l, m - 1, u)
-    return out
+    return legendre_table(l, u)[..., l, m + l]
 
 
 def sph_harm(l, m, theta, phi):
-    """Spherical harmonic in this package's convention."""
-    theta = np.asarray(theta, dtype=float)
-    return assoc_legendre(l, m, np.cos(theta)) * np.exp(1j * m * np.asarray(phi))
+    """Spherical harmonic Y_lm(theta, phi) in this package's convention.
+
+    l and m broadcast against each other; entries with |m| > l are 0.
+    The result has the angles' shape followed by the orders' shape.
+    """
+    l = _check_l(l)
+    m = np.asarray(m).astype(int)
+    l_max = int(max(l.max(initial=0), np.abs(m).max(initial=0)))
+    table = legendre_table(l_max, np.cos(np.asarray(theta, dtype=float)))
+    phase = np.exp(np.multiply.outer(np.asarray(phi), 1j * m))
+    return table[..., l, m + l_max] * phase
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +248,7 @@ def gaunt_coefficient(l1, m1, l2, m2, l3):
     even l1+l2+l3, |m| bounds).  Example: l1=l2=l3=0 gives 1/sqrt(4 pi).
     """
     l1, l2, l3 = int(l1), int(l2), int(l3)
-    for l in (l1, l2, l3):
-        _check_l(l)
+    _check_l((l1, l2, l3))
     m3 = -int(m1) - int(m2)
     if (l1 + l2 + l3) % 2 != 0:
         return 0.0

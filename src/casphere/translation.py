@@ -42,7 +42,7 @@ import numpy as np
 
 from .basis import BasisSpec, to_real_basis
 from .rotation import axis_euler_angles, rotate_block
-from .specfun import RadialKind, gaunt_yyc, mod_sph_bessel
+from .specfun import RadialKind, gaunt_yyc, mod_sph_bessel, sph_harm
 
 KIND_OUTGOING = "outgoing"
 KIND_REGULAR = "regular"
@@ -203,31 +203,17 @@ def _build_tables(l_max):
 
 def _scaled_radial(kind, p_max, x):
     """Z_p(x) e^{-+x} for p = 0..p_max (e-kind outgoing, i-kind regular)."""
-    out = np.empty(p_max + 1)
+    p = np.arange(p_max + 1)
     if kind == KIND_OUTGOING:
-        for p in range(p_max + 1):
-            out[p] = (-1.0) ** p * (2.0 / math.pi) * mod_sph_bessel(
-                RadialKind.DECAYING, p, x, scaled=True)
-    else:
-        for p in range(p_max + 1):
-            out[p] = mod_sph_bessel(RadialKind.REGULAR, p, x, scaled=True)
-    return out
+        return (-1.0) ** p * (2.0 / math.pi) * mod_sph_bessel(
+            RadialKind.DECAYING, p, x, scaled=True)
+    return mod_sph_bessel(RadialKind.REGULAR, p, x, scaled=True)
 
 
 def _harmonic_lut(p_max, theta, phi):
-    """Y_pq(theta, phi) table, indexed [p, q + p_max]."""
-    from .specfun import sph_harm
-    lut = np.zeros((p_max + 1, 2 * p_max + 1), dtype=complex)
-    for p in range(p_max + 1):
-        for q in range(-p, p + 1):
-            lut[p, q + p_max] = sph_harm(p, q, theta, phi)
-    return lut
-
-
-def _value_lut(kind, p_max, kappa, dist, theta, phi):
-    z = _scaled_radial(kind, p_max, kappa * dist)
-    y = _harmonic_lut(p_max, theta, phi)
-    return z[:, None] * y
+    """Y_pq(theta, phi) table, indexed [p, q + p_max]; 0 where |q| > p."""
+    return sph_harm(np.arange(p_max + 1)[:, None],
+                    np.arange(-p_max, p_max + 1), theta, phi)
 
 
 def _gradient_lut(kind, p_max, kappa, dist, theta, phi):
@@ -308,7 +294,8 @@ def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
     phi = math.atan2(d[1], d[0])
     tab_mm, tab_mn = _build_tables(basis.l_max)
     p_max = tab_mm.p_max
-    lut = _value_lut(kind, p_max, kappa, dist, theta, phi)
+    lut = (_scaled_radial(kind, p_max, kappa * dist)[:, None]
+           * _harmonic_lut(p_max, theta, phi))
     ds = basis.scalar_size
     mm = _contract(tab_mm, lut, ds, p_max)
     mn = _contract(tab_mn, lut, ds, p_max)
@@ -319,17 +306,8 @@ def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
 
 def axial_translation(basis: BasisSpec, kind, kappa, distance):
     """Translation operator for displacement d = distance * z^."""
-    dist = float(distance)
-    _check_args(basis, kind, kappa, dist)
-    tab_mm, tab_mn = _build_tables(basis.l_max)
-    p_max = tab_mm.p_max
-    lut = _value_lut(kind, p_max, kappa, dist, 0.0, 0.0)
-    ds = basis.scalar_size
-    mm = _contract(tab_mm, lut, ds, p_max)
-    mn = _contract(tab_mn, lut, ds, p_max)
-    mat = to_real_basis(_assemble(basis, mm, mn), basis.l_max)
-    return TranslationBlock(mat, _block_exponent(kind, kappa, dist), kind,
-                            float(kappa), np.array([0.0, 0.0, dist]), basis)
+    return translation_matrix_direct(basis, kind, kappa,
+                                     (0.0, 0.0, float(distance)))
 
 
 def translation_matrix(basis: BasisSpec, kind, kappa, displacement):

@@ -155,18 +155,20 @@ def _nan_drude(doc):
     return doc
 
 
-@pytest.mark.parametrize("doc, field", [
-    (scene_doc(temperature_kelvin=float("nan")), "temperature_kelvin"),
-    (_nan_center(scene_doc()), r"spheres\[1\]"),
-    (scene_doc(spectral={"n_nodes": 178}), "spectral"),
-    (_nan_drude(scene_doc()), r"spheres\[0\]\.permittivity"),
-    (scene_doc(spectral={"adaptive": True}), "spectral"),
+@pytest.mark.parametrize("doc, field, args", [
+    (scene_doc(temperature_kelvin=float("nan")), "temperature_kelvin", []),
+    (_nan_center(scene_doc()), r"spheres\[1\]", []),
+    (scene_doc(spectral={"n_nodes": 178}), "spectral", []),
+    (_nan_drude(scene_doc()), r"spheres\[0\]\.permittivity", []),
+    (scene_doc(spectral={"adaptive": True}), "spectral", []),
+    (scene_doc(l_max=3.5), "l_max", []),
+    (scene_doc(), "l_max", ["--lmax", "31"]),
 ], ids=["temperature-nan", "center-nan", "too-many-nodes", "drude-nan",
-        "adaptive-removed"])
+        "adaptive-removed", "lmax-fractional", "lmax-over-cap"])
 def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
-                                                        doc, field):
+                                                        doc, field, args):
     path = scene_file(tmp_path, doc)
-    assert main(["force", "--scene", path, "--target", "b"]) \
+    assert main(["force", "--scene", path, "--target", "b", *args]) \
         == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "validation error" in err

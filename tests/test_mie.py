@@ -13,6 +13,7 @@ import pytest
 from casphere.basis import POL_TE, POL_TM, basis_enumerate
 from casphere.mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                           TabulatedPermittivity, mie_coefficient, mie_diag)
+from casphere.specfun import riccati_ik
 
 # (pol, l, x, eps_rel) -> T, mpmath at 40 digits
 ANCHORS = [
@@ -109,6 +110,37 @@ def test_diag_is_m_degenerate():
             t = mie_coefficient(pol, l, 0.9, 2.6)
             for m in range(-l, l + 1):
                 assert diag[basis.index(pol, l, m)] == t
+
+
+def _t_one_order(pol, l, x, eps_rel, scaled):
+    """T_{pol,l} from scalar Riccati calls, one (pol, l) at a time: the
+    loop that ``mie_diag`` replaced, kept as its reference."""
+    if eps_rel == 1.0:
+        return 0.0
+
+    def pair(arg):
+        zi, spi = riccati_ik("i", l, arg, scaled=True)
+        zk, spk = riccati_ik("k", l, arg, scaled=True)
+        sgn = (-1.0) ** l * (2.0 / math.pi)
+        return (float(zi), float(spi)), (sgn * float(zk), sgn * float(spk))
+
+    (ib, spb), (eb, epb) = pair(x)
+    (is_, sps), _ = pair(math.sqrt(eps_rel) * x)
+    if pol == POL_TE:
+        t = (spb * is_ - ib * sps) / (eb * sps - epb * is_)
+    else:
+        t = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
+    return t if scaled else t * math.exp(2.0 * x)
+
+
+@pytest.mark.parametrize("l_max, x, eps, scaled", [
+    (4, 0.9, 2.6, False), (4, 0.05, 80.0, True), (5, 3.3, 0.5, False),
+    (3, 1.3, 1.0, False), (6, 400.0, 2.6, True)])
+def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
+    basis = basis_enumerate(l_max)
+    want = np.array([_t_one_order(pol, l, x, eps, scaled)
+                     for pol, l, _ in basis.labels()])
+    assert np.array_equal(mie_diag(basis, x, eps, scaled=scaled), want)
 
 
 # ----------------------------------------------------------- permittivity

@@ -361,6 +361,11 @@ def test_scene_validation():
                              SphereSpec("a", (0, 0, 3.0), 1.0, EPS4)))
     with pytest.raises(ValueError):
         SceneConfig(spheres=two_spheres().spheres, l_max=0)
+    # coupling tables reach order 2 l_max + 2, capped at L_HARD_CAP = 60
+    SceneConfig(spheres=two_spheres().spheres, l_max=29)
+    for bad in (30, 31, 3.5):
+        with pytest.raises(ValueError, match="l_max"):
+            SceneConfig(spheres=two_spheres().spheres, l_max=bad)
     with pytest.raises(ValueError):
         SceneConfig(spheres=two_spheres().spheres, temperature_kelvin=-1.0)
     with pytest.raises(ValueError):

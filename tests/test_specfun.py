@@ -8,86 +8,62 @@ integral using scipy's own spherical harmonics.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
 from casphere.specfun import (L_HARD_CAP, RadialKind, assoc_legendre,
-                              assoc_legendre_dtheta, gaunt_coefficient,
-                              gaunt_yyc, mod_sph_bessel, mod_sph_bessel_dx,
-                              riccati_ik, sph_bessel_j, sph_harm,
-                              sph_hankel_plus, wigner_3j)
+                              gaunt_coefficient, gaunt_yyc, mod_sph_bessel,
+                              mod_sph_bessel_dx, riccati_ik, sph_harm,
+                              wigner_3j)
 
 # 40-digit reference values
-J5_AT_2 = 0.0026351697702441173
-H3_AT_HALF = 0.0011740354438675573 - 246.13004692361646j
 I4_AT_3 = 0.12749717929736216
 E4_AT_3 = 0.24094482469386007          # (-1)^4 (2/pi) k_4(3)
 P10_5_AT_03 = -0.11482671339565856
 GAUNT_21_1M1_1 = -math.sqrt(15.0) / (10.0 * math.sqrt(math.pi))
 
 
-# ------------------------------------------------------------ j and h+
-
-def test_sph_bessel_j_small_argument_limits():
-    assert sph_bessel_j(0, 1e-9) == pytest.approx(1.0, abs=1e-12)
-    assert abs(sph_bessel_j(1, 1e-9)) < 1e-9
-    assert abs(sph_bessel_j(4, 1e-3)) < 1e-12
-
-
-def test_sph_bessel_j_oracle_value():
-    assert sph_bessel_j(5, 2.0) == pytest.approx(J5_AT_2, rel=1e-12)
-
-
-def test_sph_bessel_j_closed_form_l0():
-    for x in (0.3, 1.0, 7.7, 40.0):
-        assert sph_bessel_j(0, x) == pytest.approx(math.sin(x) / x, rel=1e-13)
-
-
-def test_sph_hankel_plus_closed_forms():
-    want = complex(math.sin(1.0), -math.cos(1.0))
-    assert sph_hankel_plus(0, 1.0) == pytest.approx(want, rel=1e-13)
-    assert sph_hankel_plus(0, math.pi) == pytest.approx(1j / math.pi, rel=1e-12)
-
-
-def test_sph_hankel_plus_oracle_value():
-    got = sph_hankel_plus(3, 0.5)
-    assert got.real == pytest.approx(H3_AT_HALF.real, rel=1e-12)
-    assert got.imag == pytest.approx(H3_AT_HALF.imag, rel=1e-12)
-
-
-def test_real_axis_wronskian():
-    # j_l y'_l - j'_l y_l = 1/x^2, y from the Hankel combination
-    for l in (0, 1, 5, 12, 30):
-        for x in (0.01, 0.4, 3.0, 25.0, 100.0):
-            j = sph_bessel_j(l, x)
-            jp = sph_bessel_j(l, x, derivative=True)
-            h = sph_hankel_plus(l, x)
-            hp = sph_hankel_plus(l, x, derivative=True)
-            w = j * hp.imag - jp * h.imag
-            assert w == pytest.approx(1.0 / x**2, rel=1e-10)
-
-
-def test_real_axis_recurrence():
-    # j_{l-1} + j_{l+1} = (2l+1)/x j_l
-    for l in (1, 4, 10, 25):
-        for x in (0.05, 1.3, 20.0):
-            lhs = sph_bessel_j(l - 1, x) + sph_bessel_j(l + 1, x)
-            rhs = (2 * l + 1) / x * sph_bessel_j(l, x)
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            assert abs(lhs - rhs) / scale < 1e-10
-
+# -------------------------------------------------------- domain
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        sph_bessel_j(0, -1.0)
-    with pytest.raises(ValueError):
-        sph_bessel_j(L_HARD_CAP + 1, 1.0)
+        mod_sph_bessel("i", L_HARD_CAP + 1, 1.0)
+    with pytest.raises(ValueError, match="L_HARD_CAP"):
+        mod_sph_bessel("k", np.array([0, 3, L_HARD_CAP + 1]), 1.0)
     with pytest.raises(ValueError):
         mod_sph_bessel("i", 2, -0.5)
     with pytest.raises(ValueError):
         mod_sph_bessel("nope", 2, 0.5)
+
+
+# --------------------------------------------------- order arrays
+
+def _order_cases():
+    orders = (np.arange(13),)
+    for x in (1e-6, 1.0, 60.0, 800.0):
+        for fn in (mod_sph_bessel, mod_sph_bessel_dx, riccati_ik):
+            for kind in ("i", "k"):
+                # unscaled i_l overflows at x = 800
+                for scaled in (False, True) if x < 700.0 else (True,):
+                    yield pytest.param(
+                        partial(fn, kind, x=x, scaled=scaled), orders,
+                        id=f"{fn.__name__}-{kind}-scaled={scaled}-x={x:g}")
+    harmonic_orders = (np.arange(13)[:, None], np.arange(-12, 13))
+    for theta in (1e-6, 1.0, 60.0):
+        yield pytest.param(partial(sph_harm, theta=theta, phi=-0.7),
+                           harmonic_orders, id=f"sph_harm-theta={theta:g}")
+
+
+@pytest.mark.parametrize("call, orders", _order_cases())
+def test_order_array_equals_scalar_calls(call, orders):
+    got = np.asarray(call(*orders))
+    want = np.array([call(*map(int, ls)) for ls in np.broadcast(*orders)])
+    # riccati_ik returns a (z, S') pair per call: the pair axis leads
+    want = np.moveaxis(want, 0, -1).reshape(got.shape)
+    assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------- i_l and k_l
@@ -207,15 +183,15 @@ def test_assoc_legendre_domain_errors():
         assoc_legendre(2, 1, 1.5)
 
 
-def test_assoc_legendre_dtheta_ladder():
-    # compare the exact ladder against central differences in theta
-    for l, m in ((1, 0), (4, 2), (6, -3)):
-        theta = 0.9
-        h = 1e-6
-        fd = (assoc_legendre(l, m, math.cos(theta + h))
-              - assoc_legendre(l, m, math.cos(theta - h))) / (2 * h)
-        assert assoc_legendre_dtheta(l, m, math.cos(theta)) == pytest.approx(
-            fd, rel=1e-8)
+def test_harmonic_table_vanishes_off_axis_at_the_poles():
+    # an axial pair relies on Y_pq(d^) = 0 exactly for q != 0 at d^ = +-z^
+    p = np.arange(10)[:, None]
+    q = np.arange(-9, 10)
+    for theta in (0.0, math.pi):
+        for phi in (0.0, math.pi, -math.pi):
+            table = sph_harm(p, q, theta, phi)
+            assert np.all(table[:, q != 0] == 0.0)
+            assert np.all(table[:, q == 0] != 0.0)
 
 
 def test_sph_harm_matches_scipy():
@@ -224,6 +200,9 @@ def test_sph_harm_matches_scipy():
         got = sph_harm(l, m, theta, phi)
         want = complex(sph_harm_y(l, m, theta, phi))
         assert got == pytest.approx(want, rel=1e-12)
+    # outside |m| <= l the table entries are exactly zero
+    assert sph_harm(2, 3, theta, phi) == 0.0
+    assert sph_harm(0, -1, theta, phi) == 0.0
 
 
 # ----------------------------------------------------- Wigner and Gaunt
