@@ -13,13 +13,19 @@ psi~_a = sum_n C[a, n] psi_n; operators map as A~ = C* A C^T.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .specfun import L_HARD_CAP
+
 POL_TE = 0   # M-type (no radial field component)
 POL_TM = 1   # N-type
+
+# translation values and gradients reach radial order 2 l_max + 1
+_L_MAX_CAP = (L_HARD_CAP - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -29,8 +35,10 @@ class BasisSpec:
     l_max: int
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
+        if not isinstance(self.l_max, numbers.Integral) \
+                or not 1 <= self.l_max <= _L_MAX_CAP:
+            raise ValueError(f"l_max must be an integer in [1, {_L_MAX_CAP}], "
+                             f"got {self.l_max!r}")
 
     @property
     def scalar_size(self):
@@ -64,7 +72,7 @@ class BasisSpec:
 
 def basis_enumerate(l_max):
     """Basis specification for truncation l_max (D = 2 l_max (l_max+2))."""
-    return BasisSpec(int(l_max))
+    return BasisSpec(l_max)
 
 
 @lru_cache(maxsize=None)

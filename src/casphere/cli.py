@@ -422,8 +422,8 @@ def _selfcheck_rows():
     from .basis import basis_enumerate
     from .rotation import rotate_block
     from .specfun import mod_sph_bessel, mod_sph_bessel_dx
-    from .translation import (KIND_OUTGOING, translation_matrix,
-                              translation_matrix_direct)
+    from .translation import (KIND_OUTGOING, gradient_fd_check,
+                              translation_matrix, translation_matrix_direct)
     rows = []
 
     def add(name, err, tol):
@@ -448,6 +448,8 @@ def _selfcheck_rows():
     blk_b = translation_matrix_direct(basis, KIND_OUTGOING, 0.9, d)
     add("translation dual route",
         float(np.abs(blk_a.matrix - blk_b.matrix).max()), 1e-11)
+    add("translation gradient vs finite differences",
+        gradient_fd_check(basis, 0.9, d), 1e-8)
 
     rot = rotate_block(basis, 0.5, 1.1, -0.3)
     add("rotation orthogonality",

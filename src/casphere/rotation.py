@@ -97,6 +97,7 @@ def axis_euler_angles(displacement):
     r = float(np.linalg.norm(d))
     if r == 0.0:
         raise ValueError("zero displacement has no direction")
-    beta = math.acos(max(-1.0, min(1.0, d[2] / r)))
+    # acos(d_z / r) would be ill-conditioned near the poles
+    beta = math.atan2(math.hypot(d[0], d[1]), d[2])
     alpha = math.atan2(d[1], d[0]) if (abs(d[0]) > 0 or abs(d[1]) > 0) else 0.0
     return alpha, beta

@@ -33,8 +33,8 @@ product explicitly: a closed path's tracked exponent is exactly
 round trip.
 """
 
+import itertools
 import math
-import numbers
 import re
 from dataclasses import dataclass, field, replace
 
@@ -43,14 +43,11 @@ import numpy as np
 from .basis import BasisSpec, basis_enumerate
 from .constants import C_LIGHT, HBAR_C, matsubara_scale
 from .mie import ConstantPermittivity, PermittivityModel, mie_diag
-from .specfun import L_HARD_CAP
 from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
 from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
 _RENORM = 1e100
-# translation tables reach order 2 l_max + 1, their gradients one more
-_L_MAX_CAP = (L_HARD_CAP - 2) // 2
 
 
 # ----------------------------------------------------------------- scene
@@ -96,10 +93,7 @@ class SceneConfig:
         labels = [s.label for s in self.spheres]
         if len(set(labels)) != len(labels):
             raise ValueError("sphere labels must be unique")
-        if not isinstance(self.l_max, numbers.Integral) \
-                or not 1 <= self.l_max <= _L_MAX_CAP:
-            raise ValueError(f"l_max must be an integer in [1, {_L_MAX_CAP}], "
-                             f"got {self.l_max!r}")
+        basis_enumerate(self.l_max)   # BasisSpec checks l_max
         if not 0.0 <= self.temperature_kelvin < math.inf:
             raise ValueError("temperature_kelvin must be finite and >= 0")
         if not 0.0 <= self.length_unit_m < math.inf:
@@ -245,33 +239,32 @@ def _assemble(scene: SceneConfig, xi, target=None):
     (kappa, tvecs, lbal, blocks, dblocks): one scaled Mie vector per
     sphere, the l-balance vector, blocks[(i, j)] = (A^{i<-j} mantissa,
     exponent, e^{-kappa gap_ij}) per ordered pair and, for a force,
-    dblocks holding d/dr_target of the blocks (t, j) and (j, t), both
-    with the exponent and scale of (t, j).
+    dblocks holding d/dr_target of the blocks (t, j) and (j, t).  Each
+    unordered pair i < j is translated once: with P = diag((-1)^{l+pol}),
+    A^{j<-i} = P A^{i<-j} P and grad A(-d) = -P grad A(d) P.
     """
     basis, spheres = scene.basis, scene.spheres
     kappa, eps_rel = _materials(scene, xi)
     tvecs = [mie_diag(basis, kappa * s.radius, eps_rel[i], scaled=True)
              for i, s in enumerate(spheres)]
     lbal = _l_balance_vec(basis, kappa, min(s.radius for s in spheres))
+    par = np.array([(-1.0) ** (l + pol) for pol, l, _ in basis.labels()])
+    pp = par[:, None] * par
     blocks, dblocks = {}, {}
-    for i, si in enumerate(spheres):
-        for j, sj in enumerate(spheres):
-            if i == j:
-                continue
-            d = si.center_array - sj.center_array
-            blk = translation_matrix(basis, KIND_OUTGOING, kappa, d)
-            gap = float(np.linalg.norm(d)) - si.radius - sj.radius
-            blocks[(i, j)] = (blk.matrix, blk.exponent,
-                              math.exp(-kappa * gap))
-            if i == target:
-                # d(r_t - r_j) = +dr_t and d(r_j - r_t) = -dr_t.  The
-                # latter is taken at -d, not at r_j - r_t, whose zero
-                # components carry the other sign (other azimuth branch)
-                geom = blocks[(i, j)][1:]
-                dblocks[(i, j)] = (_gradient_stack(
-                    basis, KIND_OUTGOING, kappa, d)[0],) + geom
-                dblocks[(j, i)] = (-_gradient_stack(
-                    basis, KIND_OUTGOING, kappa, -d)[0],) + geom
+    for (i, si), (j, sj) in itertools.combinations(enumerate(spheres), 2):
+        d = si.center_array - sj.center_array
+        blk = translation_matrix(basis, KIND_OUTGOING, kappa, d)
+        gap = float(np.linalg.norm(d)) - si.radius - sj.radius
+        geom = (blk.exponent, math.exp(-kappa * gap))
+        blocks[(i, j)] = (blk.matrix,) + geom
+        blocks[(j, i)] = (pp * blk.matrix,) + geom
+        if target in (i, j):
+            # d(r_i - r_j) is +dr_i and -dr_j
+            grad = _gradient_stack(basis, KIND_OUTGOING, kappa, d)[0]
+            if target == j:
+                grad = -grad
+            dblocks[(i, j)] = (grad,) + geom
+            dblocks[(j, i)] = (pp * grad,) + geom
     return kappa, tvecs, lbal, blocks, dblocks
 
 

@@ -123,21 +123,25 @@ def mod_sph_bessel_dx(kind, l, x, scaled=False):
     for l >= 1, i_0' = i_1 and k_0' = -k_0 - k_0/x.  Orders broadcast
     as in ``mod_sph_bessel``.
     """
+    return _value_and_dx(kind, l, x, scaled)[1]
+
+
+def _value_and_dx(kind, l, x, scaled):
+    """(z_l, z_l') with z_l evaluated once; see ``mod_sph_bessel_dx``."""
     kind = RadialKind(kind)
     l = _check_l(l)
     x = np.asarray(x, dtype=float)
     here = mod_sph_bessel(kind, l, x, scaled=scaled)
     if kind is RadialKind.REGULAR:
         lower = mod_sph_bessel(kind, np.abs(l - 1), x, scaled=scaled)
-        return np.where(l == 0, lower, lower - (l + 1) / x * here)[()]
+        return here, np.where(l == 0, lower, lower - (l + 1) / x * here)[()]
     lower = mod_sph_bessel(kind, np.maximum(l - 1, 0), x, scaled=scaled)
-    return -lower - (l + 1) / x * here
+    return here, -lower - (l + 1) / x * here
 
 
 def riccati_ik(kind, l, x, scaled=False):
     """Value z_l and Riccati derivative S_l'(x) = (x z_l(x))' as a pair."""
-    z = mod_sph_bessel(kind, l, x, scaled=scaled)
-    dz = mod_sph_bessel_dx(kind, l, x, scaled=scaled)
+    z, dz = _value_and_dx(kind, l, x, scaled)
     return z, z + x * dz
 
 

@@ -20,9 +20,9 @@ kappa sum u^(p')_q(l,m) psi_{p',m+q}.  The resulting Gaunt-weighted
 tables depend only on l_max and are cached; each evaluation contracts
 them with a small (p, q) lookup of radial values times harmonics of d^.
 
-Cartesian gradients with respect to d reuse the same tables: the lookup
-entry Z_p Y_pq is replaced by its exact gradient, again via the u
-expansion.  No finite differences anywhere.
+Cartesian gradients with respect to d come from the axial operator: its
+commutators with the rotation generators, and its series with Z_p' in
+place of Z_p.  No finite differences anywhere.
 
 Scaling: outgoing radial functions decay like e^{-kappa d}; matrices are
 returned as (mantissa, exponent) pairs with the factor e^{exponent}
@@ -30,8 +30,8 @@ removed, exponent = -kappa|d| (outgoing) or +kappa|d| (regular).
 
 Public matrices are in the real-m basis (real entries).  The production
 ``translation_matrix`` composes the axial operator with rotations; the
-direct angular series is ``translation_matrix_direct``, kept as an
-independent cross-check and as the gradient engine.
+direct angular series at a general d^ is ``translation_matrix_direct``,
+kept as an independent cross-check.
 """
 
 import math
@@ -42,7 +42,8 @@ import numpy as np
 
 from .basis import BasisSpec, to_real_basis
 from .rotation import axis_euler_angles, rotate_block
-from .specfun import RadialKind, gaunt_yyc, mod_sph_bessel, sph_harm
+from .specfun import (RadialKind, gaunt_yyc, mod_sph_bessel,
+                      mod_sph_bessel_dx, sph_harm)
 
 KIND_OUTGOING = "outgoing"
 KIND_REGULAR = "regular"
@@ -201,40 +202,14 @@ def _build_tables(l_max):
 
 # ------------------------------------------------------------- evaluation
 
-def _scaled_radial(kind, p_max, x):
-    """Z_p(x) e^{-+x} for p = 0..p_max (e-kind outgoing, i-kind regular)."""
+def _scaled_radial(kind, p_max, x, dx=False):
+    """Z_p(x) e^{-+x} (Z_p'(x) e^{-+x} with dx), p = 0..p_max, Z = e or i."""
     p = np.arange(p_max + 1)
+    radial = mod_sph_bessel_dx if dx else mod_sph_bessel
     if kind == KIND_OUTGOING:
-        return (-1.0) ** p * (2.0 / math.pi) * mod_sph_bessel(
+        return (-1.0) ** p * (2.0 / math.pi) * radial(
             RadialKind.DECAYING, p, x, scaled=True)
-    return mod_sph_bessel(RadialKind.REGULAR, p, x, scaled=True)
-
-
-def _harmonic_lut(p_max, theta, phi):
-    """Y_pq(theta, phi) table, indexed [p, q + p_max]; 0 where |q| > p."""
-    return sph_harm(np.arange(p_max + 1)[:, None],
-                    np.arange(-p_max, p_max + 1), theta, phi)
-
-
-def _gradient_lut(kind, p_max, kappa, dist, theta, phi):
-    """grad_d [Z_p(kappa d) Y_pq(d^)] (scaled), indexed [axis, p, q + p_max]."""
-    z = _scaled_radial(kind, p_max + 1, kappa * dist)
-    y = _harmonic_lut(p_max + 1, theta, phi)
-    off = p_max + 1
-    out = np.zeros((3, p_max + 1, 2 * p_max + 1), dtype=complex)
-    for p in range(p_max + 1):
-        for q in range(-p, p + 1):
-            vec = np.zeros(3, dtype=complex)
-            for p_to in (p - 1, p + 1):
-                if p_to < 0:
-                    continue
-                for qs in (-1, 0, 1):
-                    u = _u_vec(p, q, p_to, qs)
-                    if not u.any():
-                        continue
-                    vec += u * (z[p_to] * y[p_to, q + qs + off])
-            out[:, p, q + p_max] = kappa * vec
-    return out
+    return radial(RadialKind.REGULAR, p, x, scaled=True)
 
 
 def _contract(table, lut, ds, p_max):
@@ -245,14 +220,35 @@ def _contract(table, lut, ds, p_max):
     return (re + 1j * im).reshape(ds, ds)
 
 
-def _assemble(basis, mm, mn):
+def _series(basis, kind, x, theta, phi, dx=False):
+    """Real-basis operator: the coupling tables contracted with the scaled
+    Z_p(x) (Z_p'(x) with dx) times Y_pq(theta, phi)."""
+    tab_mm, tab_mn = _build_tables(basis.l_max)
+    p_max = tab_mm.p_max
+    # indexed [p, q + p_max]; Y_pq is 0 where |q| > p
+    lut = (_scaled_radial(kind, p_max, x, dx)[:, None]
+           * sph_harm(np.arange(p_max + 1)[:, None],
+                      np.arange(-p_max, p_max + 1), theta, phi))
     ds = basis.scalar_size
-    out = np.empty((2 * ds, 2 * ds), dtype=complex)
-    out[:ds, :ds] = mm
-    out[:ds, ds:] = mn
-    out[ds:, :ds] = -mn
-    out[ds:, ds:] = mm
-    return out
+    mm = _contract(tab_mm, lut, ds, p_max)
+    mn = _contract(tab_mn, lut, ds, p_max)
+    return to_real_basis(np.block([[mm, mn], [-mn, mm]]), basis.l_max)
+
+
+@lru_cache(maxsize=8)
+def _generators(l_max):
+    """Real-basis (G_x, G_y) with rotate_block = 1 + eps G_a + O(eps^2)
+    for a rotation by eps about x^ or y^.  In the complex basis G_a is
+    -i L_a: its (l, m + delta), (l, m) entry is -v_delta(l, m)_a."""
+    spec = BasisSpec(l_max)
+    gen = np.zeros((2, spec.scalar_size, spec.scalar_size), dtype=complex)
+    for l in range(1, l_max + 1):
+        for m in range(-l, l):
+            row, col = spec.scalar_index(l, m + 1), spec.scalar_index(l, m)
+            gen[:, row, col] = -_v_vec(l, m, 1)[:2]
+            gen[:, col, row] = -_v_vec(l, m + 1, -1)[:2]
+    # the same block acts on both polarizations
+    return tuple(np.kron(np.eye(2), to_real_basis(g, l_max)) for g in gen)
 
 
 # -------------------------------------------------------------- public API
@@ -290,16 +286,8 @@ def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
     _check_args(basis, kind, kappa, dist)
-    theta = math.acos(max(-1.0, min(1.0, d[2] / dist)))
-    phi = math.atan2(d[1], d[0])
-    tab_mm, tab_mn = _build_tables(basis.l_max)
-    p_max = tab_mm.p_max
-    lut = (_scaled_radial(kind, p_max, kappa * dist)[:, None]
-           * _harmonic_lut(p_max, theta, phi))
-    ds = basis.scalar_size
-    mm = _contract(tab_mm, lut, ds, p_max)
-    mn = _contract(tab_mn, lut, ds, p_max)
-    mat = to_real_basis(_assemble(basis, mm, mn), basis.l_max)
+    phi, theta = axis_euler_angles(d)
+    mat = _series(basis, kind, kappa * dist, theta, phi)
     return TranslationBlock(mat, _block_exponent(kind, kappa, dist), kind,
                             float(kappa), d, basis)
 
@@ -314,7 +302,6 @@ def translation_matrix(basis: BasisSpec, kind, kappa, displacement):
     """Translation operator, composed as rotation * axial * rotation^T."""
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    _check_args(basis, kind, kappa, dist)
     if d[0] == 0.0 and d[1] == 0.0 and d[2] > 0.0:
         return axial_translation(basis, kind, kappa, dist)
     ax = axial_translation(basis, kind, kappa, dist)
@@ -325,26 +312,29 @@ def translation_matrix(basis: BasisSpec, kind, kappa, displacement):
 
 
 def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
-    """(grad (3, D, D), exponent): full gradient is grad * e^{exponent}."""
+    """(grad (3, D, D), exponent): full gradient is grad * e^{exponent}.
+
+    At d = |d| z^ a transverse shift rotates the axial operator A, so
+    d_x A = [G_y, A] / |d| and d_y A = [A, G_x] / |d|, while d_z A is
+    kappa times the Z_p' series.  At a general d the three rotate like
+    the value, and their Cartesian index by Rz(alpha) Ry(beta).
+    """
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    _check_args(basis, kind, kappa, dist)
-    theta = math.acos(max(-1.0, min(1.0, d[2] / dist)))
-    phi = math.atan2(d[1], d[0])
-    tab_mm, tab_mn = _build_tables(basis.l_max)
-    p_max = tab_mm.p_max
-    glut = _gradient_lut(kind, p_max, kappa, dist, theta, phi)
-    # the lookup differentiates the unscaled series but evaluates with
-    # scaled radials, so the contraction is already e^{-exponent} d/dd A
-    ds = basis.scalar_size
-    dim = basis.size
-    exponent = _block_exponent(kind, kappa, dist)
-    out = np.empty((3, dim, dim))
-    for a in range(3):
-        mm = _contract(tab_mm, glut[a], ds, p_max)
-        mn = _contract(tab_mn, glut[a], ds, p_max)
-        out[a] = to_real_basis(_assemble(basis, mm, mn), basis.l_max)
-    return out, exponent
+    ax = axial_translation(basis, kind, kappa, dist).matrix
+    g_x, g_y = _generators(basis.l_max)
+    axial = np.stack([(g_y @ ax - ax @ g_y) / dist,
+                      (ax @ g_x - g_x @ ax) / dist,
+                      kappa * _series(basis, kind, kappa * dist, 0.0, 0.0,
+                                      dx=True)])
+    alpha, beta = axis_euler_angles(d)
+    rot = rotate_block(basis, alpha, beta, 0.0)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cart = np.array([[ca * cb, -sa, ca * sb], [sa * cb, ca, sa * sb],
+                     [-sb, 0.0, cb]])
+    grad = np.einsum("ab,bij->aij", cart, rot @ axial @ rot.T)
+    return grad, _block_exponent(kind, kappa, dist)
 
 
 def translation_gradient(basis: BasisSpec, kind, kappa, displacement):
@@ -365,8 +355,9 @@ def gradient_fd_check(basis: BasisSpec, kappa, displacement,
     """Max relative deviation of the analytic gradient from Richardson
     finite differences of the value operator.
 
-    The two routes share nothing past the coupling tables: the gradient
-    contracts shifted-degree lookups, the value route plain ones.
+    The routes share the axial operator and the rotations, not the
+    derivatives: rotation generators and Z_p' on one side, values at
+    six nearby displacements on the other.
     """
     d = np.asarray(displacement, dtype=float)
     grad, expo = _gradient_stack(basis, kind, kappa, d)

@@ -38,8 +38,11 @@ def test_index_bounds_raise():
         basis.index(POL_TE, 1, 2)
     with pytest.raises(ValueError):
         basis.index(2, 1, 0)
-    with pytest.raises(ValueError):
-        BasisSpec(0)
+    for bad in (0, 3.5, 30):
+        with pytest.raises(ValueError, match="l_max"):
+            BasisSpec(bad)
+    with pytest.raises(ValueError, match="l_max"):
+        basis_enumerate(3.5)
 
 
 def test_real_combination_matrix_is_unitary():

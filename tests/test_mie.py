@@ -143,6 +143,22 @@ def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
     assert np.array_equal(mie_diag(basis, x, eps, scaled=scaled), want)
 
 
+def test_diag_evaluates_each_radial_table_once(monkeypatch):
+    # three Riccati pairs (i at x_B and x_s, k at x_B), each evaluating
+    # z_l once and z_{l-1} once for its derivative
+    import casphere.specfun as specfun
+    calls = []
+    radial = specfun.mod_sph_bessel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return radial(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "mod_sph_bessel", counted)
+    mie_diag(basis_enumerate(3), 0.9, 2.6)
+    assert len(calls) == 6
+
+
 # ----------------------------------------------------------- permittivity
 
 def test_constant_permittivity():

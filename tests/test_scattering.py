@@ -177,6 +177,29 @@ def test_n_freq_counts_every_frequency_evaluation(monkeypatch):
     assert len(calls) == len(sc.spheres) * res.n_freq
 
 
+def test_assembly_translates_each_pair_once(monkeypatch):
+    # the block (j, i) and its gradient are the parity mirror of (i, j)
+    import casphere.scattering as scattering
+    counts = {}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scattering, "translation_matrix", counted(
+        "value", scattering.translation_matrix))
+    monkeypatch.setattr(scattering, "_gradient_stack", counted(
+        "gradient", _gradient_stack))
+    sc = three_spheres()
+    force_integrand(sc, "c", 0.7)
+    assert counts == {"value": 3, "gradient": 2}
+    counts.clear()
+    energy_integrand(sc, 0.7)
+    assert counts == {"value": 3}
+
+
 def test_dipole_limit_matches_dyadic_force_law():
     # two small spheres: the 2-event force must follow the closed
     # 7-term retarded dipole-dipole expression
@@ -361,7 +384,7 @@ def test_scene_validation():
                              SphereSpec("a", (0, 0, 3.0), 1.0, EPS4)))
     with pytest.raises(ValueError):
         SceneConfig(spheres=two_spheres().spheres, l_max=0)
-    # coupling tables reach order 2 l_max + 2, capped at L_HARD_CAP = 60
+    # translations reach radial order 2 l_max + 1, capped at L_HARD_CAP = 60
     SceneConfig(spheres=two_spheres().spheres, l_max=29)
     for bad in (30, 31, 3.5):
         with pytest.raises(ValueError, match="l_max"):
