@@ -57,34 +57,30 @@ def wigner_bigd_matrix(l, alpha, beta, gamma):
     return np.exp(-1j * alpha * ms)[:, None] * d * np.exp(-1j * gamma * ms)[None, :]
 
 
-@lru_cache(maxsize=512)
-def _scalar_rotation_cached(l_max, alpha, beta, gamma):
-    ds = l_max * (l_max + 2)
-    out = np.zeros((ds, ds), dtype=complex)
-    for l in range(1, l_max + 1):
-        base = l * l - 1
-        out[base:base + 2 * l + 1, base:base + 2 * l + 1] = \
-            wigner_bigd_matrix(l, alpha, beta, gamma)
-    return out
-
-
 def basis_rotation(basis: BasisSpec, alpha, beta, gamma):
     """Rotation matrix on the full basis (identical block per polarization).
 
     Coefficients of a rotated field are c_rot = Dmat @ c.
     """
-    blk = _scalar_rotation_cached(basis.l_max, float(alpha), float(beta),
-                                  float(gamma))
     ds = basis.scalar_size
     out = np.zeros((2 * ds, 2 * ds), dtype=complex)
-    out[:ds, :ds] = blk
-    out[ds:, ds:] = blk
+    for l in range(1, basis.l_max + 1):
+        blk = wigner_bigd_matrix(l, alpha, beta, gamma)
+        for base in (l * l - 1, ds + l * l - 1):
+            out[base:base + 2 * l + 1, base:base + 2 * l + 1] = blk
     return out
 
 
+@lru_cache(maxsize=512)
 def rotate_block(basis: BasisSpec, alpha, beta, gamma):
-    """Real-m basis rotation matrix (orthogonal, D x D real)."""
-    return to_real_basis(basis_rotation(basis, alpha, beta, gamma), basis.l_max)
+    """Real-m basis rotation matrix (orthogonal, D x D real, read-only).
+
+    Cached: the blocks of one pair are rotated by the same angles at
+    every frequency.
+    """
+    out = to_real_basis(basis_rotation(basis, alpha, beta, gamma), basis.l_max)
+    out.flags.writeable = False
+    return out
 
 
 def axis_euler_angles(displacement):

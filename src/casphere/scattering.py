@@ -237,7 +237,8 @@ def _assemble(scene: SceneConfig, xi, target=None):
     """Ingredients of M(i xi), each computed once per (scene, xi).
 
     (kappa, tvecs, lbal, blocks, dblocks): one scaled Mie vector per
-    sphere, the l-balance vector, blocks[(i, j)] = (A^{i<-j} mantissa,
+    sphere (computed once per distinct radius and eps_rel), the
+    l-balance vector, blocks[(i, j)] = (A^{i<-j} mantissa,
     exponent, e^{-kappa gap_ij}) per ordered pair and, for a force,
     dblocks holding d/dr_target of the blocks (t, j) and (j, t).  Each
     unordered pair i < j is translated once: with P = diag((-1)^{l+pol}),
@@ -245,8 +246,10 @@ def _assemble(scene: SceneConfig, xi, target=None):
     """
     basis, spheres = scene.basis, scene.spheres
     kappa, eps_rel = _materials(scene, xi)
-    tvecs = [mie_diag(basis, kappa * s.radius, eps_rel[i], scaled=True)
-             for i, s in enumerate(spheres)]
+    keys = [(s.radius, e) for s, e in zip(spheres, eps_rel)]
+    mie = {k: mie_diag(basis, kappa * k[0], k[1], scaled=True)
+           for k in dict.fromkeys(keys)}
+    tvecs = [mie[k] for k in keys]
     lbal = _l_balance_vec(basis, kappa, min(s.radius for s in spheres))
     par = np.array([(-1.0) ** (l + pol) for pol, l, _ in basis.labels()])
     pp = par[:, None] * par

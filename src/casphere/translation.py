@@ -16,13 +16,17 @@ Assembly reduces every block to the scalar addition theorem
 (Z_p = e_p outgoing, i_p regular) through two exact operator identities:
 the angular-momentum expansion M_lm = -c_l sum_delta v_delta(l,m)
 psi_{l,m+delta} and the gradient expansion grad psi_lm =
-kappa sum u^(p')_q(l,m) psi_{p',m+q}.  The resulting Gaunt-weighted
-tables depend only on l_max and are cached; each evaluation contracts
-them with a small (p, q) lookup of radial values times harmonics of d^.
+kappa sum u^(p')_q(l,m) psi_{p',m+q}.
+
+Production evaluates the series only on the z axis, where Y_pq(z^)
+vanishes unless q = 0: the axial operator is W @ Z_p(kappa d) with
+real-basis weights W[row, col, p] cached per l_max.  The full Gaunt
+tables over (row, col, p, q), contracted with Z_p times Y_pq(d^), give
+the general-direction series, kept as the test and selfcheck oracle.
 
 Cartesian gradients with respect to d come from the axial operator: its
-commutators with the rotation generators, and its series with Z_p' in
-place of Z_p.  No finite differences anywhere.
+commutators with the rotation generators, and W @ Z_p'.  No finite
+differences anywhere.
 
 Scaling: outgoing radial functions decay like e^{-kappa d}; matrices are
 returned as (mantissa, exponent) pairs with the factor e^{exponent}
@@ -31,9 +35,10 @@ removed, exponent = -kappa|d| (outgoing) or +kappa|d| (regular).
 Public matrices are in the real-m basis (real entries).  The production
 ``translation_matrix`` composes the axial operator with rotations; the
 direct angular series at a general d^ is ``translation_matrix_direct``,
-kept as an independent cross-check.
+kept as the cross-check.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,8 +47,8 @@ import numpy as np
 
 from .basis import BasisSpec, to_real_basis
 from .rotation import axis_euler_angles, rotate_block
-from .specfun import (RadialKind, gaunt_yyc, mod_sph_bessel,
-                      mod_sph_bessel_dx, sph_harm)
+from .specfun import (RadialKind, _value_and_dx, gaunt_yyc, mod_sph_bessel,
+                      sph_harm)
 
 KIND_OUTGOING = "outgoing"
 KIND_REGULAR = "regular"
@@ -90,6 +95,12 @@ def _u_vec(l, m, p_to, q):
     raise ValueError("p_to must be l - 1 or l + 1")
 
 
+def _cross(a, b):
+    """a x b for 3-vectors, without np.cross's per-call overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def _c_norm(l):
     return 1.0 / math.sqrt(l * (l + 1.0))
 
@@ -134,6 +145,46 @@ def _pack(acc, p_max):
                         ws[keep], p_max)
 
 
+def _terms(l, m, lp, mu, axial=False):
+    """(block, p, q, weight) terms coupling source (l, m) to target (lp, mu).
+
+    block 0 is MM (target M from source M), block 1 is MN (target M from
+    source N); q is the harmonic order of Y_pq(d^).  With axial only the
+    q = 0 terms are made: Y_pq(z^) vanishes for q != 0.
+    """
+    norm = -_c_norm(l) * _c_norm(lp)
+    for dp in (-1, 0, 1):
+        nt = mu - dp           # target scalar order
+        if abs(nt) > lp:
+            continue
+        vtgt = _v_vec(lp, nt, dp)
+        for d in (-1, 0, 1):
+            ns0 = m + d
+            if abs(ns0) > l:
+                continue
+            vsrc = _v_vec(l, m, d)
+            # M_lm is a v-combination of psi_l; N_lm expands via (u x v)
+            sources = [(0, l, 0)] + [(1, p_src, q) for p_src in (l - 1, l + 1)
+                                     for q in (-1, 0, 1)
+                                     if abs(ns0 + q) <= p_src]
+            for block, l_src, q in sources:
+                ns = ns0 + q
+                if axial and ns != nt:
+                    continue
+                vec = _cross(_u_vec(l, ns0, l_src, q), vsrc) if block else vsrc
+                dot = complex(vec @ vtgt)
+                if dot == 0.0:
+                    continue
+                for p, g in _beta_terms(l_src, ns, lp, nt):
+                    yield block, p, ns - nt, norm * dot * g
+
+
+def _scalar_pairs(l_max):
+    """((col, (l, m)), (row, (lp, mu))) over one polarization's labels."""
+    lms = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    return itertools.product(enumerate(lms), repeat=2)
+
+
 @lru_cache(maxsize=8)
 def _build_tables(l_max):
     """Gaunt-weighted series tables for the scalar-polarization blocks.
@@ -142,74 +193,57 @@ def _build_tables(l_max):
     mn: coefficients of target M from source N.
     The remaining blocks follow from curl duality (NN = MM, NM = -MN).
     """
-    spec = BasisSpec(l_max)
-    acc_mm = {}
-    acc_mn = {}
+    acc = ({}, {})
     p_max = 0
-    deltas = (-1, 0, 1)
-    for l in range(1, l_max + 1):
-        cl = _c_norm(l)
-        for m in range(-l, l + 1):
-            col = spec.scalar_index(l, m)
-            vsrc = {d: _v_vec(l, m, d) for d in deltas}
-            for lp in range(1, l_max + 1):
-                clp = _c_norm(lp)
-                for mu in range(-lp, lp + 1):
-                    row = spec.scalar_index(lp, mu)
-                    for dp in deltas:
-                        nt = mu - dp           # target scalar order
-                        if abs(nt) > lp:
-                            continue
-                        vtgt = _v_vec(lp, nt, dp)
-                        # -- M source ------------------------------------
-                        for d in deltas:
-                            ns = m + d
-                            if abs(ns) > l:
-                                continue
-                            dot = complex(vsrc[d] @ vtgt)
-                            if dot == 0.0:
-                                continue
-                            w0 = -cl * clp * dot
-                            for p, g in _beta_terms(l, ns, lp, nt):
-                                key = (row, col, p, ns - nt)
-                                acc_mm[key] = acc_mm.get(key, 0.0) + w0 * g
-                                p_max = max(p_max, p)
-                        # -- N source: N_lm expands via (u x v) ----------
-                        for d in deltas:
-                            ns0 = m + d
-                            if abs(ns0) > l:
-                                continue
-                            for p_src in (l - 1, l + 1):
-                                if p_src < 0:
-                                    continue
-                                for q in deltas:
-                                    ns = ns0 + q
-                                    if abs(ns) > p_src:
-                                        continue
-                                    u = _u_vec(l, ns0, p_src, q)
-                                    cross = np.cross(u, vsrc[d])
-                                    dot = complex(cross @ vtgt)
-                                    if dot == 0.0:
-                                        continue
-                                    w0 = -cl * clp * dot
-                                    for p, g in _beta_terms(p_src, ns, lp, nt):
-                                        key = (row, col, p, ns - nt)
-                                        acc_mn[key] = acc_mn.get(key, 0.0) \
-                                            + w0 * g
-                                        p_max = max(p_max, p)
-    return _pack(acc_mm, p_max), _pack(acc_mn, p_max)
+    for (col, (l, m)), (row, (lp, mu)) in _scalar_pairs(l_max):
+        for block, p, q, w in _terms(l, m, lp, mu):
+            key = (row, col, p, q)
+            acc[block][key] = acc[block].get(key, 0.0) + w
+            p_max = max(p_max, p)
+    return _pack(acc[0], p_max), _pack(acc[1], p_max)
+
+
+@lru_cache(maxsize=8)
+def _axial_weights(l_max):
+    """Read-only real-basis W[row, col, p]: the operator at d = |d| z^ is
+    W @ Z_p(kappa |d|), p = 0..2 l_max + 1.
+
+    The q = 0 terms of the scalar theorem with Y_p0(z^) folded in; the
+    axial operator conserves m, so only target m = source m is visited,
+    and only for m >= 0: the mirror through the xz-plane makes MM even
+    and MN odd in m.
+    """
+    ds = l_max * (l_max + 2)
+    w = np.zeros((2, 2 * l_max + 2, ds, ds), dtype=complex)
+    for (col, (l, m)), (row, (lp, mu)) in _scalar_pairs(l_max):
+        if mu == m >= 0:
+            for block, p, _, wt in _terms(l, m, lp, mu, axial=True):
+                val = wt * math.sqrt((2 * p + 1) / _FOUR_PI)
+                w[block, p, row, col] += val
+                if m:   # (l, -m) sits 2 m below (l, m)
+                    w[block, p, row - 2 * m, col - 2 * m] += \
+                        (-1) ** block * val
+    out = np.empty((2 * ds, 2 * ds, 2 * l_max + 2))
+    for p in range(out.shape[-1]):
+        mm, mn = w[:, p]
+        out[..., p] = to_real_basis(np.block([[mm, mn], [-mn, mm]]), l_max)
+    out.flags.writeable = False
+    return out
 
 
 # ------------------------------------------------------------- evaluation
 
 def _scaled_radial(kind, p_max, x, dx=False):
-    """Z_p(x) e^{-+x} (Z_p'(x) e^{-+x} with dx), p = 0..p_max, Z = e or i."""
+    """Z_p(x) e^{-+x}, p = 0..p_max, Z = e or i; with dx the pair
+    (Z_p(x), Z_p'(x)) e^{-+x} from one evaluation."""
     p = np.arange(p_max + 1)
-    radial = mod_sph_bessel_dx if dx else mod_sph_bessel
+    rkind = (RadialKind.DECAYING if kind == KIND_OUTGOING
+             else RadialKind.REGULAR)
+    out = (np.array(_value_and_dx(rkind, p, x, True)) if dx
+           else mod_sph_bessel(rkind, p, x, scaled=True))
     if kind == KIND_OUTGOING:
-        return (-1.0) ** p * (2.0 / math.pi) * radial(
-            RadialKind.DECAYING, p, x, scaled=True)
-    return radial(RadialKind.REGULAR, p, x, scaled=True)
+        return (-1.0) ** p * (2.0 / math.pi) * out
+    return out
 
 
 def _contract(table, lut, ds, p_max):
@@ -220,13 +254,13 @@ def _contract(table, lut, ds, p_max):
     return (re + 1j * im).reshape(ds, ds)
 
 
-def _series(basis, kind, x, theta, phi, dx=False):
+def _series(basis, kind, x, theta, phi):
     """Real-basis operator: the coupling tables contracted with the scaled
-    Z_p(x) (Z_p'(x) with dx) times Y_pq(theta, phi)."""
+    Z_p(x) times Y_pq(theta, phi)."""
     tab_mm, tab_mn = _build_tables(basis.l_max)
     p_max = tab_mm.p_max
     # indexed [p, q + p_max]; Y_pq is 0 where |q| > p
-    lut = (_scaled_radial(kind, p_max, x, dx)[:, None]
+    lut = (_scaled_radial(kind, p_max, x)[:, None]
            * sph_harm(np.arange(p_max + 1)[:, None],
                       np.arange(-p_max, p_max + 1), theta, phi))
     ds = basis.scalar_size
@@ -294,8 +328,12 @@ def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
 
 def axial_translation(basis: BasisSpec, kind, kappa, distance):
     """Translation operator for displacement d = distance * z^."""
-    return translation_matrix_direct(basis, kind, kappa,
-                                     (0.0, 0.0, float(distance)))
+    dist = float(distance)
+    _check_args(basis, kind, kappa, dist)
+    w = _axial_weights(basis.l_max)
+    mat = w @ _scaled_radial(kind, w.shape[-1] - 1, kappa * dist)
+    return TranslationBlock(mat, _block_exponent(kind, kappa, dist), kind,
+                            float(kappa), np.array([0.0, 0.0, dist]), basis)
 
 
 def translation_matrix(basis: BasisSpec, kind, kappa, displacement):
@@ -321,12 +359,13 @@ def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
     """
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    ax = axial_translation(basis, kind, kappa, dist).matrix
+    _check_args(basis, kind, kappa, dist)
+    w = _axial_weights(basis.l_max)
+    z, dz = _scaled_radial(kind, w.shape[-1] - 1, kappa * dist, dx=True)
+    ax = w @ z
     g_x, g_y = _generators(basis.l_max)
     axial = np.stack([(g_y @ ax - ax @ g_y) / dist,
-                      (ax @ g_x - g_x @ ax) / dist,
-                      kappa * _series(basis, kind, kappa * dist, 0.0, 0.0,
-                                      dx=True)])
+                      (ax @ g_x - g_x @ ax) / dist, kappa * (w @ dz)])
     alpha, beta = axis_euler_angles(d)
     rot = rotate_block(basis, alpha, beta, 0.0)
     ca, sa = math.cos(alpha), math.sin(alpha)

@@ -94,6 +94,16 @@ def test_rotate_block_is_block_diagonal_in_l():
                 assert r[i, j] == 0.0
 
 
+def test_rotate_block_is_cached_and_read_only():
+    basis = basis_enumerate(2)
+    r1 = rotate_block(basis, 0.9, 0.4, 1.3)
+    r2 = rotate_block(basis, np.float64(0.9), 0.4, 1.3)
+    assert not r1.flags.writeable
+    assert np.array_equal(r1, r2)
+    with pytest.raises(ValueError):
+        r1[0, 0] = 2.0
+
+
 def test_axis_euler_angles_aligns_displacement_with_z():
     for d in ([0.0, 0.0, 2.0], [1.0, -2.0, 0.5], [-0.3, 0.0, -1.1]):
         d = np.asarray(d)

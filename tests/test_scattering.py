@@ -165,16 +165,17 @@ def test_truncation_estimate_reuses_the_frequency_evaluations():
 def test_n_freq_counts_every_frequency_evaluation(monkeypatch):
     import casphere.scattering as scattering
     calls = []
+    assemble = scattering._assemble
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return mie_diag(*args, **kwargs)
+        return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(scattering, "mie_diag", counted)
+    monkeypatch.setattr(scattering, "_assemble", counted)
     sc = replace(two_spheres(l_max=2), spectral=FAST)
     res = casimir_force(sc, "b")
     assert res.n_freq == 2 * FAST.n_nodes + FAST.check_nodes
-    assert len(calls) == len(sc.spheres) * res.n_freq
+    assert len(calls) == res.n_freq
 
 
 def test_assembly_translates_each_pair_once(monkeypatch):
@@ -198,6 +199,27 @@ def test_assembly_translates_each_pair_once(monkeypatch):
     counts.clear()
     energy_integrand(sc, 0.7)
     assert counts == {"value": 3}
+
+
+@pytest.mark.parametrize("r2, calls", [(1.0, 1), (0.7, 2)])
+def test_assembly_computes_one_mie_vector_per_distinct_sphere(
+        monkeypatch, r2, calls):
+    import casphere.scattering as scattering
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return mie_diag(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "mie_diag", counted)
+    sc = two_spheres(l_max=2, r2=r2)
+    for xi in (0.3, 1.1):
+        seen.clear()
+        tvecs = scattering._assemble(sc, xi, target=1)[1]
+        assert len(seen) == calls
+        for s, t in zip(sc.spheres, tvecs):
+            want = mie_diag(sc.basis, xi * s.radius, 4.0, scaled=True)
+            assert np.array_equal(t, want)
 
 
 def test_dipole_limit_matches_dyadic_force_law():

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 import helpers
+import casphere.translation as tr
 from casphere.basis import (POL_TM, basis_enumerate, real_combination_matrix)
+from casphere.mie import ConstantPermittivity
+from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
+                                 three_body_energy)
+from casphere.spectral import SpectralSettings
 from casphere.translation import (KIND_OUTGOING, KIND_REGULAR,
                                   _gradient_stack, axial_translation,
                                   translation_matrix,
@@ -152,8 +157,9 @@ def test_plus_z_displacement_equals_axial():
 
 
 def test_rotation_route_matches_direct_angular_series():
-    # two construction routes: rotate-axial-rotate vs the direct series
-    # at general direction; they share only the coupling tables
+    # two construction routes: rotations around the axial weights vs
+    # the Gaunt tables' series at general direction; they share only
+    # the term enumeration, restricted to q = 0 and m' = m on the axis
     basis = basis_enumerate(3)
     for dvec in ([1.3, -0.8, 2.1], [0.0, 2.4, -1.0], [-1.1, -1.7, 0.4]):
         a = translation_matrix(basis, KIND_OUTGOING, KAPPA, dvec)
@@ -161,6 +167,46 @@ def test_rotation_route_matches_direct_angular_series():
         scale = np.abs(a.matrix).max()
         assert a.exponent == b.exponent
         assert np.abs(a.matrix - b.matrix).max() < 1e-11 * scale
+
+
+@pytest.mark.parametrize("l_max", range(1, 7))
+def test_production_matches_direct_series_at_random_directions(l_max):
+    basis = basis_enumerate(l_max)
+    rng = np.random.default_rng(100 + l_max)
+    for dvec in rng.normal(size=(3, 3)) * 2.0:
+        for kind in (KIND_OUTGOING, KIND_REGULAR):
+            a = translation_matrix(basis, kind, 0.8, dvec)
+            b = translation_matrix_direct(basis, kind, 0.8, dvec)
+            assert a.exponent == b.exponent
+            scale = np.abs(b.matrix).max()
+            assert np.abs(a.matrix - b.matrix).max() < 1e-12 * scale
+
+
+def test_axial_weights_couple_only_equal_abs_m():
+    basis = basis_enumerate(4)
+    w = tr._axial_weights(4)
+    assert not w.flags.writeable
+    abs_m = np.array([abs(m) for (_, _, m) in basis.labels()])
+    assert np.all(w[abs_m[:, None] != abs_m[None, :]] == 0.0)
+    assert np.abs(w).max() > 0.0
+
+
+def test_production_never_builds_the_gaunt_tables(monkeypatch):
+    # the tables and the general-direction series are the oracle only
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("oracle route reached from production")
+
+    for name in ("_build_tables", "_series", "sph_harm"):
+        monkeypatch.setattr(tr, name, oracle_only)
+    fast = SpectralSettings(n_nodes=12, check_nodes=4)
+    eps = ConstantPermittivity(2.6)
+    pair = SceneConfig(spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, eps),
+                                SphereSpec("b", (0.3, -0.4, 3.5), 1.0, eps)),
+                       l_max=2, spectral=fast)
+    assert np.all(np.isfinite(casimir_force(pair, "b").force))
+    trio = SceneConfig(spheres=pair.spheres + (
+        SphereSpec("c", (2.9, 0.2, 1.4), 0.8, eps),), l_max=1, spectral=fast)
+    assert math.isfinite(three_body_energy(trio)[0])
 
 
 def test_reciprocity_under_displacement_reversal():
