@@ -28,6 +28,7 @@ unresolved; results carry the magnitude and the parity separately.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +197,9 @@ def largen_crosscheck(n, eps_minus_one=1e-2, radius=1.0,
     the ratio) is meaningful.
     """
     from .scattering import interaction_energy
-    if n not in (3, 4):
-        raise ValueError("crosscheck supports N in {3, 4}")
+    if not isinstance(n, numbers.Integral) or n < 3:
+        raise ValueError(f"crosscheck needs a ring of N >= 3 spheres, "
+                         f"got N = {n!r}")
     eps = 1.0 + eps_minus_one
     alpha_s = (eps - 1.0) / (eps + 2.0)
     seps = np.asarray(separations, dtype=float)

@@ -25,16 +25,15 @@ permittivity models are evaluated at xi in rad/s.
 
 Scaling strategy: blocks are assembled in balanced form
 S^{-1} M S with S = diag(e^{kappa R_i} (kappa r0)^l), so every entry is
-bounded by e^{-kappa gap_ij} at large kappa and O(1) at small kappa;
-determinants and traces are similarity-invariant.  The fixed-order
-path, by contrast, tracks the exponential prefactor of every block
-product explicitly: a closed path's tracked exponent is exactly
--kappa times its total hop length, e.g. -2 kappa d for the two-sphere
-round trip.
+bounded by e^{-kappa gap_ij} at large kappa and O(1) at small kappa.
+Determinants and traces are similarity-invariant, so the energy, the
+resummed force and every fixed order are read from this one matrix,
+at any gap.
 """
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 
@@ -47,7 +46,6 @@ from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
 from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
-_RENORM = 1e100
 
 
 # ----------------------------------------------------------------- scene
@@ -102,15 +100,18 @@ class SceneConfig:
             raise ValueError(
                 "finite temperature needs length_unit_m to fix the "
                 "Matsubara scale")
-        for i, a in enumerate(self.spheres):
-            for b in self.spheres[i + 1:]:
-                gap = np.linalg.norm(a.center_array - b.center_array) \
-                    - a.radius - b.radius
-                if gap <= 0.0:
-                    raise ValueError(
-                        f"spheres {a.label!r} and {b.label!r} overlap "
-                        f"(gap {gap:g}); the wave expansion requires "
-                        "non-overlapping spheres")
+        for a, b, gap in self._pair_gaps():
+            if gap <= 0.0:
+                raise ValueError(
+                    f"spheres {a.label!r} and {b.label!r} overlap "
+                    f"(gap {gap:g}); the wave expansion requires "
+                    "non-overlapping spheres")
+
+    def _pair_gaps(self):
+        """(sphere a, sphere b, surface gap) for every unordered pair."""
+        for a, b in itertools.combinations(self.spheres, 2):
+            yield a, b, float(np.linalg.norm(a.center_array - b.center_array)
+                              - a.radius - b.radius)
 
     @property
     def basis(self):
@@ -129,13 +130,7 @@ class SceneConfig:
 
     @property
     def min_gap(self):
-        out = math.inf
-        for i, a in enumerate(self.spheres):
-            for b in self.spheres[i + 1:]:
-                gap = float(np.linalg.norm(a.center_array - b.center_array)
-                            - a.radius - b.radius)
-                out = min(out, gap)
-        return out
+        return min((gap for _, _, gap in self._pair_gaps()), default=math.inf)
 
     def index_of(self, label):
         for i, s in enumerate(self.spheres):
@@ -166,9 +161,12 @@ class ForceResult:
 
     error combines the quadrature estimate with the l_max vs l_max - 1
     truncation delta, which reuses the same frequency evaluations;
-    n_freq counts all of them.  exponent_scale reports the tracked path
-    exponent of the dominant fixed-order contribution at the reference
-    frequency (0.0 for resummed results, which are fully de-scaled).
+    n_freq counts all of them.  For a fixed order k, exponent_scale is
+    -kappa(xi_ref) times the length of the shortest closed k-hop walk
+    through the target, the decay of its leading paths at the reference
+    frequency xi_ref = 1 / (2 sqrt(eps_b) min_gap), eps_b the background
+    at spectral.xi_eps; -inf when no such walk exists (odd k for a
+    pair).  It is 0.0 for resummed results.
     """
     force: np.ndarray
     error: np.ndarray
@@ -236,13 +234,13 @@ def _l_balance_vec(basis: BasisSpec, kappa, r0):
 def _assemble(scene: SceneConfig, xi, target=None):
     """Ingredients of M(i xi), each computed once per (scene, xi).
 
-    (kappa, tvecs, lbal, blocks, dblocks): one scaled Mie vector per
-    sphere (computed once per distinct radius and eps_rel), the
-    l-balance vector, blocks[(i, j)] = (A^{i<-j} mantissa,
-    exponent, e^{-kappa gap_ij}) per ordered pair and, for a force,
-    dblocks holding d/dr_target of the blocks (t, j) and (j, t).  Each
-    unordered pair i < j is translated once: with P = diag((-1)^{l+pol}),
-    A^{j<-i} = P A^{i<-j} P and grad A(-d) = -P grad A(d) P.
+    (tvecs, lbal, blocks, dblocks): one scaled Mie vector per sphere
+    (computed once per distinct radius and eps_rel), the l-balance
+    vector, blocks[(i, j)] = (A^{i<-j} mantissa, e^{-kappa gap_ij}) per
+    ordered pair and, for a force, dblocks holding d/dr_target of the
+    blocks (t, j) and (j, t).  Each unordered pair i < j is translated
+    once: with P = diag((-1)^{l+pol}), A^{j<-i} = P A^{i<-j} P and
+    grad A(-d) = -P grad A(d) P.
     """
     basis, spheres = scene.basis, scene.spheres
     kappa, eps_rel = _materials(scene, xi)
@@ -258,40 +256,24 @@ def _assemble(scene: SceneConfig, xi, target=None):
         d = si.center_array - sj.center_array
         blk = translation_matrix(basis, KIND_OUTGOING, kappa, d)
         gap = float(np.linalg.norm(d)) - si.radius - sj.radius
-        geom = (blk.exponent, math.exp(-kappa * gap))
-        blocks[(i, j)] = (blk.matrix,) + geom
-        blocks[(j, i)] = (pp * blk.matrix,) + geom
+        scale = math.exp(-kappa * gap)
+        blocks[(i, j)] = (blk.matrix, scale)
+        blocks[(j, i)] = (pp * blk.matrix, scale)
         if target in (i, j):
             # d(r_i - r_j) is +dr_i and -dr_j
             grad = _gradient_stack(basis, KIND_OUTGOING, kappa, d)[0]
             if target == j:
                 grad = -grad
-            dblocks[(i, j)] = (grad,) + geom
-            dblocks[(j, i)] = (pp * grad,) + geom
-    return kappa, tvecs, lbal, blocks, dblocks
+            dblocks[(i, j)] = (grad, scale)
+            dblocks[(j, i)] = (pp * grad, scale)
+    return tvecs, lbal, blocks, dblocks
 
 
 def _balanced(tvecs, lbal, blocks, keep):
     """{(i, j): S^{-1} T_i X S} on the labels keep; entries stay bounded."""
     lb, sub = lbal[keep], (..., keep[:, None], keep)
     return {(i, j): (tvecs[i][keep] / lb)[:, None] * x[sub] * (lb * scale)
-            for (i, j), (x, _, scale) in blocks.items()}
-
-
-def _tracked(kappa, tvecs, spheres, blocks, keep):
-    """{(i, j): (T_i X mantissa, exponent)} on the labels keep, T unscaled.
-
-    Raises before overflow can corrupt paths.
-    """
-    if 2.0 * (kappa * max(s.radius for s in spheres)) > 690.0:
-        raise OverflowError(
-            "fixed-order representation overflows at kappa R > 345; "
-            "use the resummed order for this regime")
-    tt = [v[keep] * math.exp(2.0 * (kappa * s.radius))
-          for v, s in zip(tvecs, spheres)]
-    sub = (..., keep[:, None], keep)
-    return {(i, j): (tt[i][:, None] * x[sub], expo)
-            for (i, j), (x, expo, _) in blocks.items()}
+            for (i, j), (x, scale) in blocks.items()}
 
 
 def _dense(blocks, n, dim):
@@ -303,7 +285,7 @@ def _dense(blocks, n, dim):
 
 def _balanced_m(scene: SceneConfig, xi):
     """S^{-1} M S as one dense (N D, N D) real matrix; entries bounded."""
-    _, tvecs, lbal, blocks, _ = _assemble(scene, xi)
+    tvecs, lbal, blocks, _ = _assemble(scene, xi)
     keep = np.arange(scene.basis.size)
     return _dense(_balanced(tvecs, lbal, blocks, keep), len(scene.spheres),
                   keep.size)
@@ -343,88 +325,20 @@ def energy_integrand(scene: SceneConfig, xi):
     return 0.5 * float(np.sum(np.log1p(q))) / _TWO_PI
 
 
-def _resummed_force(m_blocks, dm_blocks, n, t, ds):
-    """tr[(1 - M)^{-1} dM/dr_t] per axis, from balanced blocks of size ds."""
-    x = np.linalg.inv(np.eye(n * ds) - _dense(m_blocks, n, ds))
-    out = np.zeros(3)
-    for j in range(n):
-        if j == t:
-            continue
-        x_jt = x[j * ds:(j + 1) * ds, t * ds:(t + 1) * ds]
-        x_tj = x[t * ds:(t + 1) * ds, j * ds:(j + 1) * ds]
-        for a in range(3):
-            out[a] += np.einsum("ab,ba->", x_jt, dm_blocks[(t, j)][a])
-            out[a] += np.einsum("ab,ba->", x_tj, dm_blocks[(j, t)][a])
-    return out
-
-
-# ------------------------------------------------- fixed-order (tracked)
-
-def _block_mul(a_blocks, b_blocks, n):
-    """Tracked product; per-destination terms combined at the max exponent."""
-    out = {}
-    for (i, k), (am, ae) in a_blocks.items():
-        for j in range(n):
-            if (k, j) not in b_blocks:
-                continue
-            bm, be = b_blocks[(k, j)]
-            mant = am @ bm
-            expo = ae + be
-            if (i, j) in out:
-                om, oe = out[(i, j)]
-                top = max(oe, expo)
-                mant = om * math.exp(oe - top) + mant * math.exp(expo - top)
-                expo = top
-            peak = np.max(np.abs(mant))
-            if peak > _RENORM:
-                shift = math.log(peak)
-                mant = mant * math.exp(-shift)
-                expo += shift
-            out[(i, j)] = (mant, expo)
-    return out
-
-
-def _block_power(blocks, n, k):
-    out = blocks
-    for _ in range(k - 1):
-        out = _block_mul(out, blocks, n)
-    return out
-
-
-def _fixed_force(m_blocks, dm_blocks, n, k):
-    """(tr[M^{k-1} dM] per axis, dominant tracked exponent of its terms)."""
-    prod = _block_power(m_blocks, n, k - 1)
-    vals = np.zeros(3)
-    top = -math.inf
-    for (i, j), (dm, de) in dm_blocks.items():
-        if (j, i) not in prod:
-            continue
-        pm, pe = prod[(j, i)]
-        for a in range(3):
-            val = np.einsum("ab,ba->", pm, dm[a])
-            vals[a] += val * math.exp(pe + de)
-            if val != 0.0 and pe + de > top:
-                top = pe + de
-    return vals, top
+def _scattering_events(k, name):
+    """k as an int >= 2; raises ValueError naming the argument."""
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"{name} must be an integer number of scattering "
+                         f"events >= 2, got {k!r}")
+    return int(k)
 
 
 def energy_integrand_fixed(scene: SceneConfig, xi, k):
     """-tr[M^k] / (2 pi k): the k-scattering-event energy integrand."""
-    if k < 2:
-        raise ValueError("fixed order needs k >= 2 scattering events")
-    n = len(scene.spheres)
-    kappa, tvecs, _, blocks, _ = _assemble(scene, xi)
-    m_blocks = _tracked(kappa, tvecs, scene.spheres, blocks,
-                        np.arange(scene.basis.size))
-    prod = _block_power(m_blocks, n, k - 1)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in prod and (j, i) in m_blocks:
-                pm, pe = prod[(i, j)]
-                bm, be = m_blocks[(j, i)]
-                total += np.einsum("ab,ba->", pm, bm) * math.exp(pe + be)
-    return -total / (_TWO_PI * k)
+    k = _scattering_events(k, "k")
+    m = _balanced_m(scene, xi)
+    trace = np.sum(np.linalg.matrix_power(m, k - 1) * m.T)
+    return -float(trace) / (_TWO_PI * k)
 
 
 # ------------------------------------------------------------------ force
@@ -441,33 +355,61 @@ def _force_args(scene: SceneConfig, target, order):
     if match is None:
         raise ValueError(
             f"unknown order {order!r}; use 'resummed' or 'fixed(k)'")
-    k = int(match.group(1) or match.group(2))
-    if k < 2:
-        raise ValueError("fixed order needs k >= 2 scattering events")
-    return t, k
+    return t, _scattering_events(int(match.group(1) or match.group(2)),
+                                 f"order {order!r}: k")
+
+
+def _trace_force(x, dm_blocks, t, ds):
+    """tr[X dM/dr_t] per axis; dM has only the blocks (t, j) and (j, t)."""
+    out = np.zeros(3)
+    for j in range(x.shape[0] // ds):
+        if j == t:
+            continue
+        x_jt = x[j * ds:(j + 1) * ds, t * ds:(t + 1) * ds]
+        x_tj = x[t * ds:(t + 1) * ds, j * ds:(j + 1) * ds]
+        for a in range(3):
+            out[a] += np.einsum("ab,ba->", x_jt, dm_blocks[(t, j)][a])
+            out[a] += np.einsum("ab,ba->", x_tj, dm_blocks[(j, t)][a])
+    return out
 
 
 def _force_rows(scene: SceneConfig, t, xi, k, n_rows=1):
-    """((n_rows, 3) force integrands, tracked exponent of row 0; 0 for
-    the resummed order, k None).  Row 1 is at l_max - 1: every part of M
-    is diagonal in l or built label by label, so M at l_max - 1 is
-    exactly the principal submatrix of M on the labels l <= l_max - 1.
+    """(n_rows, 3) force integrands tr[X dM/dr_t] / 2 pi, with
+    X = (1 - M)^{-1} for the resummed order (k None) and M^{k-1} for
+    fixed k.  Row 1 is at l_max - 1: every part of M is diagonal in l
+    or built label by label, so M at l_max - 1 is exactly the principal
+    submatrix of M on the labels l <= l_max - 1.
     """
-    kappa, tvecs, lbal, blocks, dblocks = _assemble(scene, xi, t)
+    tvecs, lbal, blocks, dblocks = _assemble(scene, xi, t)
     n, basis = len(scene.spheres), scene.basis
     full = np.arange(basis.size)
     lo, ds = basis.scalar_size - (2 * basis.l_max + 1), basis.scalar_size
-    terms = []
+    rows = []
     for keep in [full, np.r_[full[:lo], full[ds:ds + lo]]][:n_rows]:
+        m = _dense(_balanced(tvecs, lbal, blocks, keep), n, keep.size)
         if k is None:
-            terms.append((_resummed_force(
-                _balanced(tvecs, lbal, blocks, keep),
-                _balanced(tvecs, lbal, dblocks, keep), n, t, keep.size), 0.0))
+            x = np.linalg.inv(np.eye(n * keep.size) - m)
         else:
-            terms.append(_fixed_force(
-                _tracked(kappa, tvecs, scene.spheres, blocks, keep),
-                _tracked(kappa, tvecs, scene.spheres, dblocks, keep), n, k))
-    return np.stack([vals for vals, _ in terms]) / _TWO_PI, terms[0][1]
+            x = np.linalg.matrix_power(m, k - 1)
+        rows.append(_trace_force(x, _balanced(tvecs, lbal, dblocks, keep), t,
+                                 keep.size))
+    return np.stack(rows) / _TWO_PI
+
+
+def _path_exponent(scene: SceneConfig, t, xi, k):
+    """-kappa(xi) times the length of the shortest closed k-hop walk
+    through sphere t, or -inf when there is none.  A max-plus power of
+    the hop matrix -kappa |r_i - r_j|, no hop from a sphere to itself.
+    """
+    kappa, _ = _materials(scene, xi)
+    centers = [s.center_array for s in scene.spheres]
+    hop = np.full((len(centers), len(centers)), -math.inf)
+    for i, j in itertools.permutations(range(len(centers)), 2):
+        hop[i, j] = -kappa * float(np.linalg.norm(centers[i] - centers[j]))
+    walk = hop
+    for _ in range(k - 1):
+        walk = np.max(walk[:, :, None] + hop[None, :, :], axis=1)
+    return float(walk[t, t])
 
 
 def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
@@ -475,7 +417,7 @@ def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
     if xi <= 0.0:
         raise ValueError("xi must be positive")
     t, k = _force_args(scene, target, order)
-    return _force_rows(scene, t, xi, k)[0][0]
+    return _force_rows(scene, t, xi, k)[0]
 
 
 # --------------------------------------------------------------- spectral
@@ -519,11 +461,11 @@ def casimir_force(scene: SceneConfig, target, order="resummed",
     t, k = _force_args(scene, target, order)
     n_rows = 2 if truncation_error and scene.l_max >= 2 else 1
     val, qerr, n_freq = _spectral_value(
-        scene, lambda xi: _force_rows(scene, t, xi, k, n_rows)[0])
+        scene, lambda xi: _force_rows(scene, t, xi, k, n_rows))
     terr = np.abs(val[0] - val[1]) if n_rows == 2 else np.zeros(3)
     expo = 0.0
     if k is not None:
-        expo = _force_rows(scene, t, 1.0 / _decay_scale(scene), k)[1]
+        expo = _path_exponent(scene, t, 1.0 / _decay_scale(scene), k)
     return ForceResult(force=val[0], error=qerr[0] + terr, target=target,
                        order=str(order), l_max=scene.l_max, n_freq=n_freq,
                        exponent_scale=float(expo),
@@ -533,7 +475,8 @@ def casimir_force(scene: SceneConfig, target, order="resummed",
 def interaction_energy(scene: SceneConfig, *, fixed_k=None):
     """(energy, error, n_freq) in hbar c / L0; ln-det route."""
     if fixed_k is not None:
-        f = lambda xi: energy_integrand_fixed(scene, xi, fixed_k)
+        k = _scattering_events(fixed_k, "fixed_k")
+        f = lambda xi: energy_integrand_fixed(scene, xi, k)
     else:
         f = lambda xi: energy_integrand(scene, xi)
     val, err, n_freq = _spectral_value(scene, f)

@@ -247,6 +247,15 @@ def test_force_fixed_order_reports_exponent(tmp_path):
     assert float(rows[0][7]) == pytest.approx(-3.5 / 1.5, rel=1e-15)
 
 
+def test_force_fixed_order_at_small_gap(tmp_path):
+    path = scene_file(tmp_path, scene_doc(d=2.3))
+    out = tmp_path / "close.csv"
+    assert main(["force", "--scene", path, "--target", "b", "--order", "2",
+                 "--out", str(out)]) == EXIT_OK
+    _, _, rows = read_csv(out)
+    assert math.isfinite(float(rows[0][3])) and float(rows[0][3]) < 0.0
+
+
 def test_force_gradient_audit_passes(tmp_path):
     path = scene_file(tmp_path, scene_doc())
     out = tmp_path / "audited.csv"

@@ -31,8 +31,9 @@ def test_parameter_validation():
         LargeNParams(n=4, alpha_s=0.1, radius=-1.0, separation=8.0)
     with pytest.raises(ValueError):
         largen_asymptotic(params(n=2))
-    with pytest.raises(ValueError):
-        largen_crosscheck(7)
+    for bad in (2, 3.5):
+        with pytest.raises(ValueError, match="N >= 3"):
+            largen_crosscheck(bad)
 
 
 def test_zero_strength():
@@ -160,3 +161,12 @@ def test_crosscheck_ring_scaling():
     # but the ratio must be flat across separations (same power law)
     spread = report.ratio.max() / report.ratio.min()
     assert spread < 1.5
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_crosscheck_larger_rings(n):
+    report = largen_crosscheck(n)
+    assert report.exponent_predicted == -(1.0 + 3.0 * n)
+    assert report.exponent_rel_error < 1e-2
+    assert np.all(np.isfinite(report.ratio)) and np.all(report.ratio > 0.0)
+    assert report.ratio.max() / report.ratio.min() < 1.5

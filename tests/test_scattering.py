@@ -8,6 +8,7 @@ Independent routes checked against each other:
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  force_integrand, interaction_energy,
                                  logdet_energy_oracle, potential_along_path,
                                  three_body_energy, three_body_force)
-from casphere.scattering import _balanced_m, _force_rows
+from casphere.scattering import _balanced_m, _path_exponent
 from casphere.spectral import SpectralSettings
 from casphere.translation import KIND_OUTGOING, _gradient_stack
 
@@ -94,6 +95,9 @@ def test_resummed_equals_fixed_order_sum():
     nrm = np.linalg.norm(_balanced_m(sc, xi), 2)
     tail = nrm ** 13 / (1.0 - nrm)
     assert np.abs(res - acc).max() < 50.0 * tail + 1e-14
+    # ln det(1 - M) = -sum_k tr[M^k] / k, and tr M = 0
+    energy = sum(energy_integrand_fixed(sc, xi, k) for k in range(2, 13))
+    assert abs(energy - energy_integrand(sc, xi)) < 50.0 * tail + 1e-16
 
 
 def test_force_integrand_differentiates_energy_integrand():
@@ -113,14 +117,22 @@ def test_force_integrand_differentiates_energy_integrand():
 def test_fixed_order_exponent_tracking():
     sc = two_spheres(d=2.6, l_max=2)
     xi = 0.9
-    _, top2 = _force_rows(sc, 1, xi, 2)
+    top2 = _path_exponent(sc, 1, xi, 2)
     assert top2 == -(2.0 * (xi * 2.6))
     s3 = three_spheres()
     d12, d13 = 3.2, float(np.linalg.norm([2.9, 0.0, 1.4]))
     d23 = float(np.linalg.norm([2.9, 0.0, 1.4 - 3.2]))
-    _, top3 = _force_rows(s3, 2, xi, 3)
+    top3 = _path_exponent(s3, 2, xi, 3)
     perim = -xi * (d12 + d23 + d13)
     assert top3 == pytest.approx(perim, rel=1e-12)
+    # the shortest closed 4-hop walk t-j-l-j-t does not return to t
+    # halfway: 2 * 5 + 2 * 2.3 beats 4 * 5 and the t-l-j-l-t walk
+    kite = SceneConfig(
+        spheres=(SphereSpec("t", (0.0, 0.0, 0.0), 1.0, EPS4),
+                 SphereSpec("j", (0.0, 0.0, 5.0), 1.0, EPS4),
+                 SphereSpec("l", (0.0, 2.3, 5.0), 1.0, EPS4)), l_max=1)
+    assert _path_exponent(kite, 0, 0.4, 4) == pytest.approx(-5.84, rel=1e-12)
+    assert _path_exponent(sc, 1, xi, 3) == -math.inf
 
 
 def _lower_labels(basis, n_spheres=1):
@@ -215,7 +227,7 @@ def test_assembly_computes_one_mie_vector_per_distinct_sphere(
     sc = two_spheres(l_max=2, r2=r2)
     for xi in (0.3, 1.1):
         seen.clear()
-        tvecs = scattering._assemble(sc, xi, target=1)[1]
+        tvecs = scattering._assemble(sc, xi, target=1)[0]
         assert len(seen) == calls
         for s, t in zip(sc.spheres, tvecs):
             want = mie_diag(sc.basis, xi * s.radius, 4.0, scaled=True)
@@ -299,6 +311,24 @@ def test_rotation_covariance():
     f = casimir_force(s3, "c", truncation_error=False).force
     f_r = casimir_force(rotated, "c", truncation_error=False).force
     assert np.abs(f_r - rot @ f).max() < 1e-10 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("d", [2.2, 2.3, 2.45])
+def test_fixed_orders_stay_finite_at_small_gaps(d):
+    # gaps of 0.2-0.45 R put the upper quadrature nodes at kappa R in
+    # the hundreds; each order must stay finite there and the orders
+    # must still sum to the resummed force
+    sc = two_spheres(d=d, l_max=2, eps=ConstantPermittivity(2.6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = casimir_force(sc, "b", truncation_error=False).force
+        acc = np.zeros(3)
+        for k in (2, 4, 6, 8):
+            part = casimir_force(sc, "b", order=f"fixed({k})",
+                                 truncation_error=False).force
+            assert np.all(np.isfinite(part))
+            acc += part
+    assert np.abs(acc - full).max() < 1e-7 * np.abs(full).max()
 
 
 def test_fixed_order_result_reports_exponent_scale():
@@ -500,3 +530,7 @@ def test_evaluation_argument_errors(monkeypatch):
         casimir_force(lone, "a")
     with pytest.raises(ValueError):
         energy_integrand_fixed(sc, 1.0, 1)
+    for bad in (1, 0, 2.5, "3", True):
+        with pytest.raises(ValueError, match="fixed_k"):
+            interaction_energy(sc, fixed_k=bad)
+    assert calls == []
