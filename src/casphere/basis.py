@@ -62,12 +62,8 @@ class BasisSpec:
 
     def labels(self):
         """Ordered list of (pol, l, m) labels; position equals index."""
-        out = []
-        for pol in (POL_TE, POL_TM):
-            for l in range(1, self.l_max + 1):
-                for m in range(-l, l + 1):
-                    out.append((pol, l, m))
-        return out
+        return [(pol, l, m) for pol in (POL_TE, POL_TM)
+                for l in range(1, self.l_max + 1) for m in range(-l, l + 1)]
 
 
 def basis_enumerate(l_max):

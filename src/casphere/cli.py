@@ -36,8 +36,10 @@ audit failure, selfcheck failure); 4 I/O failure.
 """
 
 import argparse
+import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -294,22 +296,23 @@ def _gradient_audit(scene, rel_tol=1e-6):
     xi_ref = 1.0 / _decay_scale(scene)
     kappa, _ = _materials(scene, xi_ref)
     worst = 0.0
-    for i, si in enumerate(scene.spheres):
-        for j, sj in enumerate(scene.spheres):
-            if i >= j:
-                continue
-            d = si.center_array - sj.center_array
-            worst = max(worst, gradient_fd_check(scene.basis, kappa, d))
+    for si, sj in itertools.combinations(scene.spheres, 2):
+        d = si.center_array - sj.center_array
+        worst = max(worst, gradient_fd_check(scene.basis, kappa, d))
     return worst, worst <= rel_tol
 
 
-def run_force(args):
+def _sweep_points(args):
+    """(scene, [(param, scene)]) along --sweep, or the scene alone at 0."""
     scene = _apply_overrides(load_scene(args.scene), args)
-    order = _parse_order(args.order)
     if args.sweep:
-        points = sweep_scenes(scene, parse_sweep(args.sweep))
-    else:
-        points = [(0.0, scene)]
+        return scene, sweep_scenes(scene, parse_sweep(args.sweep))
+    return scene, [(0.0, scene)]
+
+
+def run_force(args):
+    scene, points = _sweep_points(args)
+    order = _parse_order(args.order)
     rows = []
     any_flagged = False
     for param, sc in points:
@@ -357,11 +360,7 @@ def run_potential(args):
 
 
 def run_three_body(args):
-    scene = _apply_overrides(load_scene(args.scene), args)
-    if args.sweep:
-        points = sweep_scenes(scene, parse_sweep(args.sweep))
-    else:
-        points = [(0.0, scene)]
+    scene, points = _sweep_points(args)
     rows = []
     any_flagged = False
     if args.quantity == "force":
@@ -392,8 +391,11 @@ def run_large_n(args):
     from .largen import (LargeNParams, largen_asymptotic,
                          largen_potential_integral)
     if args.n_range:
-        lo, hi = (int(x) for x in args.n_range.split(":"))
-        ns = range(lo, hi + 1)
+        match = re.fullmatch(r"(\d+):(\d+)", args.n_range)
+        if match is None or int(match[1]) > int(match[2]):
+            raise ValueError("--n-range must be lo:hi with integers "
+                             f"lo <= hi, got {args.n_range!r}")
+        ns = range(int(match[1]), int(match[2]) + 1)
     else:
         ns = [args.n]
     rows = []

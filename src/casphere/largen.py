@@ -50,8 +50,13 @@ class LargeNParams:
     separation: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need N >= 2 spheres")
+        if (isinstance(self.n, bool)
+                or not isinstance(self.n, numbers.Integral) or self.n < 2):
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        for name in ("alpha_s", "radius", "separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.separation <= 2.0 * self.radius:
             raise ValueError("separation must exceed 2R (no overlap)")
         if self.radius <= 0.0:

@@ -23,12 +23,13 @@ c/L0, energies in hbar c / L0, forces in hbar c / L0^2.  When
 temperature and SI conversion factors are derived from it, and
 permittivity models are evaluated at xi in rad/s.
 
-Scaling strategy: blocks are assembled in balanced form
-S^{-1} M S with S = diag(e^{kappa R_i} (kappa r0)^l), so every entry is
-bounded by e^{-kappa gap_ij} at large kappa and O(1) at small kappa.
-Determinants and traces are similarity-invariant, so the energy, the
-resummed force and every fixed order are read from this one matrix,
-at any gap.
+Scaling strategy: each frequency assembles one dense array, the
+balanced S^{-1} M S with S = diag(e^{kappa R_i} (kappa r0)^l), so every
+entry is bounded by e^{-kappa gap_ij} at large kappa and O(1) at small
+kappa; a force also gets dM/dr_t in the same form.  Determinants and
+traces are similarity-invariant, so the energy, the resummed force,
+every fixed order and the l_max - 1 truncation estimate are read from
+these arrays, at any gap.
 """
 
 import itertools
@@ -223,23 +224,18 @@ def _materials(scene: SceneConfig, xi):
 def _l_balance_vec(basis: BasisSpec, kappa, r0):
     """Per-label similarity scale t^l, t = min(kappa r0, 1)."""
     t = min(kappa * r0, 1.0)
-    out = np.empty(basis.size)
-    for pol in (0, 1):
-        for l in range(1, basis.l_max + 1):
-            i0 = basis.index(pol, l, -l)
-            out[i0:i0 + 2 * l + 1] = t ** l
-    return out
+    return np.array([t ** l for _, l, _ in basis.labels()])
 
 
 def _assemble(scene: SceneConfig, xi, target=None):
-    """Ingredients of M(i xi), each computed once per (scene, xi).
+    """(m, dm): the balanced S^{-1} M(i xi) S as one dense (N D, N D)
+    array and, for a force, dm = dM/dr_target as (3, N D, N D), else None.
 
-    (tvecs, lbal, blocks, dblocks): one scaled Mie vector per sphere
-    (computed once per distinct radius and eps_rel), the l-balance
-    vector, blocks[(i, j)] = (A^{i<-j} mantissa, e^{-kappa gap_ij}) per
-    ordered pair and, for a force, dblocks holding d/dr_target of the
-    blocks (t, j) and (j, t).  Each unordered pair i < j is translated
-    once: with P = diag((-1)^{l+pol}), A^{j<-i} = P A^{i<-j} P and
+    Block (i, j) is (T_i / lbal) A^{i<-j} (lbal e^{-kappa gap_ij}), lbal
+    the l-balance vector; one Mie vector is computed per distinct
+    (radius, eps_rel).  Each unordered pair i < j is translated once,
+    value and gradient together when it holds the target: with
+    P = diag((-1)^{l+pol}), A^{j<-i} = P A^{i<-j} P and
     grad A(-d) = -P grad A(d) P.
     """
     basis, spheres = scene.basis, scene.spheres
@@ -247,48 +243,30 @@ def _assemble(scene: SceneConfig, xi, target=None):
     keys = [(s.radius, e) for s, e in zip(spheres, eps_rel)]
     mie = {k: mie_diag(basis, kappa * k[0], k[1], scaled=True)
            for k in dict.fromkeys(keys)}
-    tvecs = [mie[k] for k in keys]
     lbal = _l_balance_vec(basis, kappa, min(s.radius for s in spheres))
+    rows = [(mie[k] / lbal)[:, None] for k in keys]
     par = np.array([(-1.0) ** (l + pol) for pol, l, _ in basis.labels()])
     pp = par[:, None] * par
-    blocks, dblocks = {}, {}
+    ds, size = basis.size, len(spheres) * basis.size
+    m = np.zeros((size, size))
+    dm = None if target is None else np.zeros((3, size, size))
     for (i, si), (j, sj) in itertools.combinations(enumerate(spheres), 2):
+        bi, bj = slice(i * ds, (i + 1) * ds), slice(j * ds, (j + 1) * ds)
         d = si.center_array - sj.center_array
-        blk = translation_matrix(basis, KIND_OUTGOING, kappa, d)
-        gap = float(np.linalg.norm(d)) - si.radius - sj.radius
-        scale = math.exp(-kappa * gap)
-        blocks[(i, j)] = (blk.matrix, scale)
-        blocks[(j, i)] = (pp * blk.matrix, scale)
+        cols = lbal * math.exp(-kappa * (float(np.linalg.norm(d))
+                                         - si.radius - sj.radius))
         if target in (i, j):
+            a, grad, _ = _gradient_stack(basis, KIND_OUTGOING, kappa, d)
             # d(r_i - r_j) is +dr_i and -dr_j
-            grad = _gradient_stack(basis, KIND_OUTGOING, kappa, d)[0]
             if target == j:
                 grad = -grad
-            dblocks[(i, j)] = (grad, scale)
-            dblocks[(j, i)] = (pp * grad, scale)
-    return tvecs, lbal, blocks, dblocks
-
-
-def _balanced(tvecs, lbal, blocks, keep):
-    """{(i, j): S^{-1} T_i X S} on the labels keep; entries stay bounded."""
-    lb, sub = lbal[keep], (..., keep[:, None], keep)
-    return {(i, j): (tvecs[i][keep] / lb)[:, None] * x[sub] * (lb * scale)
-            for (i, j), (x, scale) in blocks.items()}
-
-
-def _dense(blocks, n, dim):
-    out = np.zeros((n * dim, n * dim))
-    for (i, j), b in blocks.items():
-        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = b
-    return out
-
-
-def _balanced_m(scene: SceneConfig, xi):
-    """S^{-1} M S as one dense (N D, N D) real matrix; entries bounded."""
-    tvecs, lbal, blocks, _ = _assemble(scene, xi)
-    keep = np.arange(scene.basis.size)
-    return _dense(_balanced(tvecs, lbal, blocks, keep), len(scene.spheres),
-                  keep.size)
+            dm[:, bi, bj] = rows[i] * grad * cols
+            dm[:, bj, bi] = rows[j] * (pp * grad) * cols
+        else:
+            a = translation_matrix(basis, KIND_OUTGOING, kappa, d).matrix
+        m[bi, bj] = rows[i] * a * cols
+        m[bj, bi] = rows[j] * (pp * a) * cols
+    return m, dm
 
 
 def logdet_energy_oracle(scene: SceneConfig, xi):
@@ -298,7 +276,7 @@ def logdet_energy_oracle(scene: SceneConfig, xi):
     resolves couplings down to rounding of the determinant (fine for
     ordinary dielectric contrast, not for nearly-transparent spheres).
     """
-    m = _balanced_m(scene, xi)
+    m = _assemble(scene, xi)[0]
     sign, logabs = np.linalg.slogdet(np.eye(m.shape[0]) - m)
     if sign <= 0.0:
         raise RuntimeError(
@@ -315,7 +293,7 @@ def energy_integrand(scene: SceneConfig, xi):
     rounding, where forming 1 - M first would round the coupling away
     entirely (weak-contrast spheres).
     """
-    m = _balanced_m(scene, xi)
+    m = _assemble(scene, xi)[0]
     lam = np.linalg.eigvals(m)
     q = lam.real ** 2 + lam.imag ** 2 - 2.0 * lam.real   # |1-lam|^2 - 1
     if np.any(q <= -1.0):
@@ -336,7 +314,7 @@ def _scattering_events(k, name):
 def energy_integrand_fixed(scene: SceneConfig, xi, k):
     """-tr[M^k] / (2 pi k): the k-scattering-event energy integrand."""
     k = _scattering_events(k, "k")
-    m = _balanced_m(scene, xi)
+    m = _assemble(scene, xi)[0]
     trace = np.sum(np.linalg.matrix_power(m, k - 1) * m.T)
     return -float(trace) / (_TWO_PI * k)
 
@@ -359,17 +337,17 @@ def _force_args(scene: SceneConfig, target, order):
                                  f"order {order!r}: k")
 
 
-def _trace_force(x, dm_blocks, t, ds):
+def _trace_force(x, dm, t, ds):
     """tr[X dM/dr_t] per axis; dM has only the blocks (t, j) and (j, t)."""
     out = np.zeros(3)
+    bt = slice(t * ds, (t + 1) * ds)
     for j in range(x.shape[0] // ds):
         if j == t:
             continue
-        x_jt = x[j * ds:(j + 1) * ds, t * ds:(t + 1) * ds]
-        x_tj = x[t * ds:(t + 1) * ds, j * ds:(j + 1) * ds]
+        bj = slice(j * ds, (j + 1) * ds)
         for a in range(3):
-            out[a] += np.einsum("ab,ba->", x_jt, dm_blocks[(t, j)][a])
-            out[a] += np.einsum("ab,ba->", x_tj, dm_blocks[(j, t)][a])
+            out[a] += np.einsum("ab,ba->", x[bj, bt], dm[a, bt, bj])
+            out[a] += np.einsum("ab,ba->", x[bt, bj], dm[a, bj, bt])
     return out
 
 
@@ -377,22 +355,24 @@ def _force_rows(scene: SceneConfig, t, xi, k, n_rows=1):
     """(n_rows, 3) force integrands tr[X dM/dr_t] / 2 pi, with
     X = (1 - M)^{-1} for the resummed order (k None) and M^{k-1} for
     fixed k.  Row 1 is at l_max - 1: every part of M is diagonal in l
-    or built label by label, so M at l_max - 1 is exactly the principal
-    submatrix of M on the labels l <= l_max - 1.
+    or built label by label, so M and dM at l_max - 1 are exactly the
+    principal submatrices of one ``_assemble`` on the labels
+    l <= l_max - 1, taken with np.ix_.
     """
-    tvecs, lbal, blocks, dblocks = _assemble(scene, xi, t)
-    n, basis = len(scene.spheres), scene.basis
-    full = np.arange(basis.size)
-    lo, ds = basis.scalar_size - (2 * basis.l_max + 1), basis.scalar_size
+    m, dm = _assemble(scene, xi, t)
+    basis, n = scene.basis, len(scene.spheres)
     rows = []
-    for keep in [full, np.r_[full[:lo], full[ds:ds + lo]]][:n_rows]:
-        m = _dense(_balanced(tvecs, lbal, blocks, keep), n, keep.size)
+    for row in range(n_rows):
+        if row:
+            lower = [i for i, (_, l, _) in enumerate(basis.labels())
+                     if l < basis.l_max]
+            idx = np.add.outer(basis.size * np.arange(n), lower).ravel()
+            m, dm = m[np.ix_(idx, idx)], dm[:, idx[:, None], idx]
         if k is None:
-            x = np.linalg.inv(np.eye(n * keep.size) - m)
+            x = np.linalg.inv(np.eye(m.shape[0]) - m)
         else:
             x = np.linalg.matrix_power(m, k - 1)
-        rows.append(_trace_force(x, _balanced(tvecs, lbal, dblocks, keep), t,
-                                 keep.size))
+        rows.append(_trace_force(x, dm, t, m.shape[0] // n))
     return np.stack(rows) / _TWO_PI
 
 
@@ -488,17 +468,12 @@ def three_body_force(scene: SceneConfig, target):
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
     full = casimir_force(scene, target)
-    others = [s.label for s in scene.spheres if s.label != target]
-    force = full.force.copy()
-    error = full.error.copy()
-    n_freq = full.n_freq
-    for other in others:
-        pair = casimir_force(scene.subscene([target, other]), target)
-        force -= pair.force
-        error = error + pair.error
-        n_freq += pair.n_freq
-    return ForceResult(force=force, error=error, target=target,
-                       order="three-body", l_max=scene.l_max, n_freq=n_freq,
+    p1, p2 = (casimir_force(scene.subscene([target, s.label]), target)
+              for s in scene.spheres if s.label != target)
+    return ForceResult(force=full.force - p1.force - p2.force,
+                       error=full.error + p1.error + p2.error, target=target,
+                       order="three-body", l_max=scene.l_max,
+                       n_freq=full.n_freq + p1.n_freq + p2.n_freq,
                        exponent_scale=0.0,
                        si_factor=_si_force_factor(scene))
 
@@ -509,13 +484,11 @@ def three_body_energy(scene: SceneConfig):
         raise ValueError("three-body decomposition needs exactly 3 spheres")
     labels = [s.label for s in scene.spheres]
     val, err, n_freq = interaction_energy(scene)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pv, pe, pn = interaction_energy(
-                scene.subscene([labels[i], labels[j]]))
-            val -= pv
-            err += pe
-            n_freq += pn
+    for pair in itertools.combinations(labels, 2):
+        pv, pe, pn = interaction_energy(scene.subscene(pair))
+        val -= pv
+        err += pe
+        n_freq += pn
     return val, err, n_freq
 
 
@@ -538,14 +511,10 @@ def potential_along_path(scene: SceneConfig, target, positions,
     seps = np.linalg.norm(pos - ref, axis=1)
     if np.any(np.diff(seps) <= 0.0):
         raise ValueError("path must have increasing separation")
-    forces = np.empty((n, 3))
-    errors = np.empty((n, 3))
-    counts = np.empty(n, dtype=int)
-    for i in range(n):
-        res = casimir_force(scene.moved(target, pos[i]), target)
-        forces[i] = res.force
-        errors[i] = res.error
-        counts[i] = res.n_freq
+    results = [casimir_force(scene.moved(target, p), target) for p in pos]
+    forces = np.array([r.force for r in results])
+    errors = np.array([r.error for r in results])
+    counts = np.array([r.n_freq for r in results])
     n_freq = int(counts.sum())
     if n == 1:
         return PotentialResult(separations=seps, potential=np.zeros(1),

@@ -21,6 +21,7 @@ are reported with the same shape.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class SpectralSettings:
     """How to turn integrands into numbers.
 
     n_nodes / check_nodes: Gauss-Laguerre size and the increment used
-        for the error estimate; both >= 1, their sum <= 185.
+        for the error estimate; integers >= 1, their sum <= 185.
     n_matsubara_max / matsubara_tail_tol: summation stop controls.
     xi_eps: seed for the zero-frequency Richardson extrapolation.
     """
@@ -43,12 +44,22 @@ class SpectralSettings:
     xi_eps: float = 1e-3
 
     def __post_init__(self):
+        for name in ("n_nodes", "check_nodes", "n_matsubara_max"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
         # from 186 nodes on, the largest Gauss-Laguerre node exceeds
         # ln(DBL_MAX) and its weight factor e^u overflows
-        if not (self.n_nodes >= 1 and self.check_nodes >= 1
-                and self.n_nodes + self.check_nodes <= 185):
-            raise ValueError("n_nodes and check_nodes must be >= 1 with "
-                             "n_nodes + check_nodes <= 185")
+        if self.n_nodes + self.check_nodes > 185:
+            raise ValueError("n_nodes + check_nodes must be <= 185")
+        for name in ("matsubara_tail_tol", "xi_eps"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
 
 
 def _gauss_laguerre_apply(f, decay_scale, n):

@@ -28,9 +28,9 @@ Cartesian gradients with respect to d come from the axial operator: its
 commutators with the rotation generators, and W @ Z_p'.  No finite
 differences anywhere.
 
-Scaling: outgoing radial functions decay like e^{-kappa d}; matrices are
-returned as (mantissa, exponent) pairs with the factor e^{exponent}
-removed, exponent = -kappa|d| (outgoing) or +kappa|d| (regular).
+Scaling: outgoing radial functions decay like e^{-kappa d}.  Operators
+come back as a mantissa with the factor e^{exponent} removed and the
+exponent beside it, -kappa|d| (outgoing) or +kappa|d| (regular).
 
 Public matrices are in the real-m basis (real entries).  The production
 ``translation_matrix`` composes the axial operator with rotations; the
@@ -293,25 +293,14 @@ class TranslationBlock:
 
     matrix: np.ndarray
     exponent: float
-    kind: str
-    kappa: float
-    displacement: np.ndarray
-    basis: BasisSpec
-
-    @property
-    def full(self):
-        """Unscaled matrix; may overflow/underflow for extreme kappa d."""
-        return self.matrix * math.exp(self.exponent)
 
 
-def _check_args(basis, kind, kappa, dist):
+def _exponent(kind, kappa, dist):
+    """-kappa dist (outgoing) or +kappa dist (regular), arguments checked."""
     if kind not in (KIND_OUTGOING, KIND_REGULAR):
         raise ValueError(f"kind must be '{KIND_OUTGOING}' or '{KIND_REGULAR}'")
     if kappa <= 0.0 or dist <= 0.0:
         raise ValueError("kappa and |displacement| must be positive")
-
-
-def _block_exponent(kind, kappa, dist):
     return -kappa * dist if kind == KIND_OUTGOING else kappa * dist
 
 
@@ -319,38 +308,43 @@ def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
     """Translation operator from the angular series at general d^."""
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    _check_args(basis, kind, kappa, dist)
+    exponent = _exponent(kind, kappa, dist)
     phi, theta = axis_euler_angles(d)
-    mat = _series(basis, kind, kappa * dist, theta, phi)
-    return TranslationBlock(mat, _block_exponent(kind, kappa, dist), kind,
-                            float(kappa), d, basis)
+    return TranslationBlock(_series(basis, kind, kappa * dist, theta, phi),
+                            exponent)
 
 
 def axial_translation(basis: BasisSpec, kind, kappa, distance):
     """Translation operator for displacement d = distance * z^."""
     dist = float(distance)
-    _check_args(basis, kind, kappa, dist)
+    exponent = _exponent(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
-    mat = w @ _scaled_radial(kind, w.shape[-1] - 1, kappa * dist)
-    return TranslationBlock(mat, _block_exponent(kind, kappa, dist), kind,
-                            float(kappa), np.array([0.0, 0.0, dist]), basis)
+    return TranslationBlock(
+        w @ _scaled_radial(kind, w.shape[-1] - 1, kappa * dist), exponent)
+
+
+def _turn(basis, d, ax):
+    """(R ax R^T, R, alpha, beta): the axial operator turned to d^ by
+    R = rotate_block(alpha, beta, 0); on +z^, where R is 1 up to
+    rounding, ax itself."""
+    alpha, beta = axis_euler_angles(d)
+    rot = rotate_block(basis, alpha, beta, 0.0)
+    if d[0] == 0.0 and d[1] == 0.0 and d[2] > 0.0:
+        return ax, rot, alpha, beta
+    return rot @ ax @ rot.T, rot, alpha, beta
 
 
 def translation_matrix(basis: BasisSpec, kind, kappa, displacement):
     """Translation operator, composed as rotation * axial * rotation^T."""
     d = np.asarray(displacement, dtype=float)
-    dist = float(np.linalg.norm(d))
-    if d[0] == 0.0 and d[1] == 0.0 and d[2] > 0.0:
-        return axial_translation(basis, kind, kappa, dist)
-    ax = axial_translation(basis, kind, kappa, dist)
-    alpha, beta = axis_euler_angles(d)
-    rot = rotate_block(basis, alpha, beta, 0.0)
-    mat = rot @ ax.matrix @ rot.T
-    return TranslationBlock(mat, ax.exponent, kind, float(kappa), d, basis)
+    ax = axial_translation(basis, kind, kappa, float(np.linalg.norm(d)))
+    return TranslationBlock(_turn(basis, d, ax.matrix)[0], ax.exponent)
 
 
 def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
-    """(grad (3, D, D), exponent): full gradient is grad * e^{exponent}.
+    """(value, grad, exponent): the operator (D, D) and its Cartesian
+    gradient (3, D, D), each times e^{exponent}, from one Z_p, Z_p'
+    table and one rotation; value is ``translation_matrix``'s, bit for bit.
 
     At d = |d| z^ a transverse shift rotates the axial operator A, so
     d_x A = [G_y, A] / |d| and d_y A = [A, G_x] / |d|, while d_z A is
@@ -359,21 +353,20 @@ def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
     """
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    _check_args(basis, kind, kappa, dist)
+    exponent = _exponent(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
     z, dz = _scaled_radial(kind, w.shape[-1] - 1, kappa * dist, dx=True)
     ax = w @ z
     g_x, g_y = _generators(basis.l_max)
     axial = np.stack([(g_y @ ax - ax @ g_y) / dist,
                       (ax @ g_x - g_x @ ax) / dist, kappa * (w @ dz)])
-    alpha, beta = axis_euler_angles(d)
-    rot = rotate_block(basis, alpha, beta, 0.0)
+    value, rot, alpha, beta = _turn(basis, d, ax)
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
     cart = np.array([[ca * cb, -sa, ca * sb], [sa * cb, ca, sa * sb],
                      [-sb, 0.0, cb]])
     grad = np.einsum("ab,bij->aij", cart, rot @ axial @ rot.T)
-    return grad, _block_exponent(kind, kappa, dist)
+    return value, grad, exponent
 
 
 def translation_gradient(basis: BasisSpec, kind, kappa, displacement):
@@ -382,11 +375,8 @@ def translation_gradient(basis: BasisSpec, kind, kappa, displacement):
     Returns one TranslationBlock per axis, sharing the value operator's
     exponent (full gradient component = matrix * e^{exponent}).
     """
-    d = np.asarray(displacement, dtype=float)
-    grad, exponent = _gradient_stack(basis, kind, kappa, displacement)
-    return tuple(
-        TranslationBlock(grad[a], exponent, kind, float(kappa), d, basis)
-        for a in range(3))
+    _, grad, exponent = _gradient_stack(basis, kind, kappa, displacement)
+    return tuple(TranslationBlock(g, exponent) for g in grad)
 
 
 def gradient_fd_check(basis: BasisSpec, kappa, displacement,
@@ -399,7 +389,7 @@ def gradient_fd_check(basis: BasisSpec, kappa, displacement,
     six nearby displacements on the other.
     """
     d = np.asarray(displacement, dtype=float)
-    grad, expo = _gradient_stack(basis, kind, kappa, d)
+    _, grad, expo = _gradient_stack(basis, kind, kappa, d)
 
     def full(dv):
         blk = translation_matrix(basis, kind, kappa, dv)

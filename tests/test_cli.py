@@ -163,8 +163,18 @@ def _nan_drude(doc):
     (scene_doc(spectral={"adaptive": True}), "spectral", []),
     (scene_doc(l_max=3.5), "l_max", []),
     (scene_doc(), "l_max", ["--lmax", "31"]),
+    (scene_doc(spectral={"n_matsubara_max": 0}, temperature_kelvin=293.0,
+               length_unit_m=1e-7), "n_matsubara_max", []),
+    (scene_doc(spectral={"xi_eps": -0.001}), "xi_eps", []),
+    (scene_doc(spectral={"matsubara_tail_tol": float("nan")},
+               temperature_kelvin=293.0, length_unit_m=1e-7),
+     "matsubara_tail_tol", []),
+    (scene_doc(spectral={"n_nodes": 40.5}), "n_nodes", []),
+    (scene_doc(spectral={"n_nodes": True}), "n_nodes", []),
 ], ids=["temperature-nan", "center-nan", "too-many-nodes", "drude-nan",
-        "adaptive-removed", "lmax-fractional", "lmax-over-cap"])
+        "adaptive-removed", "lmax-fractional", "lmax-over-cap",
+        "matsubara-max-zero", "xi-eps-negative", "tail-tol-nan",
+        "nodes-fractional", "nodes-bool"])
 def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
                                                         doc, field, args):
     path = scene_file(tmp_path, doc)
@@ -330,6 +340,23 @@ def test_large_n_needs_exactly_one_n(tmp_path, capsys):
                  "--separation", "8.0"]) == EXIT_VALIDATION
     assert main(["large-n", "--n", "4", "--n-range", "3:6", "--alpha-s",
                  "0.05", "--separation", "8.0"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--n", "3", "--alpha-s", "nan"], "alpha_s"),
+    (["--n", "3", "--alpha-s", "0.05", "--radius", "nan"], "radius"),
+    (["--n", "3", "--alpha-s", "0.05", "--separation", "inf"],
+     "separation"),
+    (["--n-range", "5:3", "--alpha-s", "0.05"], "n-range"),
+    (["--n-range", "3", "--alpha-s", "0.05"], "n-range"),
+    (["--n-range", "3:x", "--alpha-s", "0.05"], "n-range"),
+])
+def test_large_n_rejects_bad_input_naming_it(tmp_path, capsys, args, field):
+    out = tmp_path / "ln.csv"
+    argv = ["large-n", "--separation", "8.0", *args, "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selfcheck_passes(capsys):

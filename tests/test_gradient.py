@@ -60,7 +60,7 @@ def test_rotated_axial_gradient_matches_the_angular_series():
         for kind in (KIND_OUTGOING, KIND_REGULAR):
             for u in dirs:
                 dvec = 2.7 * np.array(u, dtype=float) / np.linalg.norm(u)
-                grad, _ = _gradient_stack(basis, kind, 0.8, dvec)
+                _, grad, _ = _gradient_stack(basis, kind, 0.8, dvec)
                 ref = _angular_series_gradient(basis, kind, 0.8, dvec)
                 dev = np.abs(grad - ref).max() / np.abs(ref).max()
                 assert dev < 1e-12, (l_max, kind, u, dev)

@@ -36,6 +36,22 @@ def test_parameter_validation():
             largen_crosscheck(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.5), ("n", True), ("n", 1), ("alpha_s", math.nan),
+    ("alpha_s", math.inf), ("radius", math.nan), ("separation", math.inf),
+    ("separation", math.nan),
+])
+def test_parameters_reject_bad_values_naming_them(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        params(**{field: value})
+
+
+def test_negative_strength_gives_the_same_magnitude():
+    for route in (largen_potential_integral, largen_asymptotic):
+        assert route(params(alpha_s=-0.05)).log_magnitude \
+            == route(params(alpha_s=0.05)).log_magnitude
+
+
 def test_zero_strength():
     for route in (largen_potential_integral, largen_asymptotic):
         res = route(params(alpha_s=0.0))

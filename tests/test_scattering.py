@@ -22,9 +22,10 @@ from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  force_integrand, interaction_energy,
                                  logdet_energy_oracle, potential_along_path,
                                  three_body_energy, three_body_force)
-from casphere.scattering import _balanced_m, _path_exponent
+from casphere.scattering import _assemble, _path_exponent
 from casphere.spectral import SpectralSettings
-from casphere.translation import KIND_OUTGOING, _gradient_stack
+from casphere.translation import (KIND_OUTGOING, _gradient_stack,
+                                  translation_matrix)
 
 EPS4 = ConstantPermittivity(4.0)
 FAST = SpectralSettings(n_nodes=24, check_nodes=8)
@@ -92,7 +93,7 @@ def test_resummed_equals_fixed_order_sum():
     acc = np.zeros(3)
     for k in range(2, 13):
         acc += force_integrand(sc, "b", xi, f"fixed({k})")
-    nrm = np.linalg.norm(_balanced_m(sc, xi), 2)
+    nrm = np.linalg.norm(_assemble(sc, xi)[0], 2)
     tail = nrm ** 13 / (1.0 - nrm)
     assert np.abs(res - acc).max() < 50.0 * tail + 1e-14
     # ln det(1 - M) = -sum_k tr[M^k] / k, and tr M = 0
@@ -152,13 +153,16 @@ def test_lower_truncation_is_a_principal_submatrix():
         idx = _lower_labels(sc.basis, len(sc.spheres))
         d = sc.spheres[1].center_array - sc.spheres[0].center_array
         for xi in (0.01, 0.3, 1.7, 9.0):
-            m = _balanced_m(sc, xi)
-            assert np.array_equal(m[np.ix_(idx, idx)],
-                                  _balanced_m(lower, xi))
-            grad = _gradient_stack(sc.basis, KIND_OUTGOING, xi, d)[0]
-            assert np.array_equal(
-                grad[:, keep[:, None], keep],
-                _gradient_stack(lower.basis, KIND_OUTGOING, xi, d)[0])
+            m, dm = _assemble(sc, xi, target=1)
+            m_lo, dm_lo = _assemble(lower, xi, target=1)
+            assert np.array_equal(m[np.ix_(idx, idx)], m_lo)
+            assert np.array_equal(dm[:, idx[:, None], idx], dm_lo)
+            assert np.array_equal(m, _assemble(sc, xi)[0])
+            value, grad, _ = _gradient_stack(sc.basis, KIND_OUTGOING, xi, d)
+            value_lo, grad_lo, _ = _gradient_stack(lower.basis,
+                                                   KIND_OUTGOING, xi, d)
+            assert np.array_equal(value[np.ix_(keep, keep)], value_lo)
+            assert np.array_equal(grad[:, keep[:, None], keep], grad_lo)
 
 
 def test_truncation_estimate_reuses_the_frequency_evaluations():
@@ -207,7 +211,7 @@ def test_assembly_translates_each_pair_once(monkeypatch):
         "gradient", _gradient_stack))
     sc = three_spheres()
     force_integrand(sc, "c", 0.7)
-    assert counts == {"value": 3, "gradient": 2}
+    assert counts == {"value": 1, "gradient": 2}
     counts.clear()
     energy_integrand(sc, 0.7)
     assert counts == {"value": 3}
@@ -225,13 +229,23 @@ def test_assembly_computes_one_mie_vector_per_distinct_sphere(
 
     monkeypatch.setattr(scattering, "mie_diag", counted)
     sc = two_spheres(l_max=2, r2=r2)
+    ds = sc.basis.size
+    par = np.array([(-1.0) ** (l + pol) for pol, l, _ in sc.basis.labels()])
     for xi in (0.3, 1.1):
         seen.clear()
-        tvecs = scattering._assemble(sc, xi, target=1)[0]
+        m = scattering._assemble(sc, xi, target=1)[0]
         assert len(seen) == calls
-        for s, t in zip(sc.spheres, tvecs):
+        # block (i, j) is (T_i / lbal) A^{i<-j} (lbal e^{-kappa gap}),
+        # with A^{1<-0} the parity mirror of A^{0<-1}
+        lbal = scattering._l_balance_vec(sc.basis, xi, min(1.0, r2))
+        cols = lbal * math.exp(-xi * (3.0 - 1.0 - r2))
+        a01 = translation_matrix(sc.basis, KIND_OUTGOING, xi,
+                                 [0.0, 0.0, -3.0]).matrix
+        a10 = np.outer(par, par) * a01
+        for i, (s, a) in enumerate(zip(sc.spheres, (a01, a10))):
             want = mie_diag(sc.basis, xi * s.radius, 4.0, scaled=True)
-            assert np.array_equal(t, want)
+            got = m[i * ds:(i + 1) * ds, (1 - i) * ds:(2 - i) * ds]
+            assert np.array_equal(got, (want / lbal)[:, None] * a * cols)
 
 
 def test_dipole_limit_matches_dyadic_force_law():

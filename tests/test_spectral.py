@@ -37,12 +37,34 @@ def test_settings_validate_node_counts():
     widest = SpectralSettings(n_nodes=177, check_nodes=8)
     val, _ = integrate_zero_t(lambda xi: math.exp(-xi), 1.0, widest)
     assert val == pytest.approx(1.0, rel=1e-12)
-    for bad in ({"n_nodes": 178}, {"n_nodes": 0}, {"check_nodes": 0}):
-        with pytest.raises(ValueError, match="n_nodes"):
-            SpectralSettings(**bad)
+    for field, value in (("n_nodes", 178), ("n_nodes", 0),
+                         ("check_nodes", 0)):
+        with pytest.raises(ValueError, match=field):
+            SpectralSettings(**{field: value})
     for removed in ("temperature", "adaptive", "rel_tol"):
         with pytest.raises(TypeError):
             SpectralSettings(**{removed: 0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_nodes", 40.5), ("n_nodes", True), ("n_nodes", "40"),
+    ("check_nodes", 2.0), ("check_nodes", False),
+    ("n_matsubara_max", 0), ("n_matsubara_max", 10.5),
+    ("n_matsubara_max", True),
+    ("matsubara_tail_tol", math.nan), ("matsubara_tail_tol", 0.0),
+    ("matsubara_tail_tol", -1e-10), ("matsubara_tail_tol", math.inf),
+    ("xi_eps", -1e-3), ("xi_eps", 0.0), ("xi_eps", math.nan),
+    ("xi_eps", math.inf), ("xi_eps", True),
+])
+def test_settings_reject_bad_fields_naming_them(field, value):
+    with pytest.raises(ValueError, match=field):
+        SpectralSettings(**{field: value})
+
+
+def test_settings_accept_numpy_scalars():
+    s = SpectralSettings(n_nodes=np.int64(24), n_matsubara_max=np.int32(5),
+                         matsubara_tail_tol=np.float64(1e-8), xi_eps=1)
+    assert (s.n_nodes, s.n_matsubara_max, s.xi_eps) == (24, 5, 1)
 
 
 def test_vector_integrand():

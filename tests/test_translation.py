@@ -224,11 +224,28 @@ def test_reciprocity_under_displacement_reversal():
             scale = np.abs(a_p.matrix).max()
             assert np.abs(a_m.matrix - pp * a_p.matrix).max() \
                 < 1e-13 * scale
-            g_p, e_p = _gradient_stack(basis, KIND_OUTGOING, kappa, dvec)
-            g_m, e_m = _gradient_stack(basis, KIND_OUTGOING, kappa, -dvec)
+            _, g_p, e_p = _gradient_stack(basis, KIND_OUTGOING, kappa, dvec)
+            _, g_m, e_m = _gradient_stack(basis, KIND_OUTGOING, kappa, -dvec)
             assert e_m == e_p
             scale = np.abs(g_p).max()
             assert np.abs(g_m + pp * g_p).max() < 1e-13 * scale
+
+
+def test_gradient_stack_value_is_the_translation_matrix():
+    # a force reads the value from _gradient_stack and an energy from
+    # translation_matrix; both must give the same M, bit for bit
+    rng = np.random.default_rng(31)
+    dirs = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0],
+            [0, -1, 0]] + rng.normal(size=(4, 3)).tolist()
+    for l_max in (1, 3):
+        basis = basis_enumerate(l_max)
+        for kind in (KIND_OUTGOING, KIND_REGULAR):
+            for u in dirs:
+                dvec = 2.3 * np.array(u, dtype=float) / np.linalg.norm(u)
+                value, _, expo = _gradient_stack(basis, kind, 0.7, dvec)
+                blk = translation_matrix(basis, kind, 0.7, dvec)
+                assert np.array_equal(value, blk.matrix), (l_max, kind, u)
+                assert expo == blk.exponent
 
 
 def test_large_distance_leading_behavior():
