@@ -115,20 +115,20 @@ def derive_a_bar(n_check=4):
     return tuple(float(c) for c in coef)
 
 
-def largen_potential_integral(params: LargeNParams, a_bar=DEFAULT_A_BAR,
-                              n_nodes=None):
+def largen_potential_integral(params: LargeNParams, a_bar=DEFAULT_A_BAR):
     """Ring-diagram integral, evaluated in the log domain.
 
     Gauss-Laguerre is exact here: e^{-X} times the polynomial
     F(X)^N of degree 2N needs only n >= N + 1 nodes.
     """
     n = params.n
-    if n_nodes is None:
-        n_nodes = max(40, n + 10)
+    if n > 353:   # scipy's roots_laguerre gives NaN weights from 364 nodes
+        raise ValueError(f"n = {n} is above 353, past which the rule's "
+                         "weights are NaN; use --method asymptotic")
     if params.alpha_s == 0.0:
         return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n,
                             n=n, method="integral")
-    nodes, weights = roots_laguerre(n_nodes)
+    nodes, weights = roots_laguerre(max(40, n + 10))
     hop_scale = abs(params.alpha_s) * (params.radius / params.separation) ** 3
     f = hop_scale * np.polyval(a_bar, nodes / n)
     if np.any(f <= 0.0):

@@ -47,6 +47,7 @@ from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
 from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
+_TAIL_POINTS = 4   # samples in the power-law fit of the potential's tail
 
 
 # ----------------------------------------------------------------- scene
@@ -138,13 +139,6 @@ class SceneConfig:
             if s.label == label:
                 return i
         raise KeyError(f"no sphere labeled {label!r}")
-
-    def subscene(self, labels):
-        """Same settings, restricted to the given sphere labels."""
-        keep = tuple(s for s in self.spheres if s.label in set(labels))
-        if len(keep) != len(set(labels)):
-            raise KeyError("unknown sphere label in subscene request")
-        return replace(self, spheres=keep)
 
     def moved(self, label, new_center):
         idx = self.index_of(label)
@@ -285,8 +279,30 @@ def logdet_energy_oracle(scene: SceneConfig, xi):
     return float(logabs)
 
 
-def energy_integrand(scene: SceneConfig, xi):
-    """ln det(1 - M) / 2 pi, via eigenvalues of M.
+def _subsets(scene: SceneConfig, groups, lower=False):
+    """Index arrays into M: a row per sphere group, then its l < l_max
+    cut if lower; None reads all of M in place.  M is diagonal in l, and
+    a block involves only its two spheres, so these principal submatrices
+    are the sub-scene's M and dM, up to the l-balance similarity."""
+    basis = scene.basis
+    ls = np.array([l for _, l, _ in basis.labels()])
+    rows = []
+    for group, cut in itertools.product(groups, range(1 + lower)):
+        idx = np.add.outer(basis.size * np.array(sorted(group)),
+                           np.flatnonzero(ls <= basis.l_max - cut)).ravel()
+        rows.append(None if idx.size == ls.size * len(scene.spheres) else idx)
+    return rows
+
+
+def _principal(a, s):
+    """Principal submatrix of a on s over its last two axes, C-contiguous
+    so traces sum in the order of a scene that small; a itself for None."""
+    return a if s is None else a.take(s, -2).take(s, -1)
+
+
+def _energy_rows(scene: SceneConfig, xi, k, subsets):
+    """ln det(1 - M) / 2 pi per row of ``_subsets`` for k None, else
+    the k-event term -tr[M^k] / (2 pi k).
 
     sum log(1 - lam) evaluated as 0.5 log1p(|lam|^2 - 2 Re lam) keeps
     full relative precision even when every |lam| is far below
@@ -294,13 +310,26 @@ def energy_integrand(scene: SceneConfig, xi):
     entirely (weak-contrast spheres).
     """
     m = _assemble(scene, xi)[0]
-    lam = np.linalg.eigvals(m)
-    q = lam.real ** 2 + lam.imag ** 2 - 2.0 * lam.real   # |1-lam|^2 - 1
-    if np.any(q <= -1.0):
-        raise RuntimeError(
-            f"det(1 - M) not positive at xi={xi:g}; passive scatterers "
-            "cannot do this - check the scene")
-    return 0.5 * float(np.sum(np.log1p(q))) / _TWO_PI
+    rows = []
+    for s in subsets:
+        ms = _principal(m, s)
+        if k is not None:
+            trace = np.sum(np.linalg.matrix_power(ms, k - 1) * ms.T)
+            rows.append(-float(trace) / (_TWO_PI * k))
+            continue
+        lam = np.linalg.eigvals(ms)
+        q = lam.real ** 2 + lam.imag ** 2 - 2.0 * lam.real   # |1-lam|^2 - 1
+        if np.any(q <= -1.0):
+            raise RuntimeError(
+                f"det(1 - M) not positive at xi={xi:g}; passive scatterers "
+                "cannot do this - check the scene")
+        rows.append(0.5 * float(np.sum(np.log1p(q))) / _TWO_PI)
+    return np.array(rows)
+
+
+def energy_integrand(scene: SceneConfig, xi):
+    """ln det(1 - M) / 2 pi, via eigenvalues of M."""
+    return float(_energy_rows(scene, xi, None, [None])[0])
 
 
 def _scattering_events(k, name):
@@ -314,9 +343,7 @@ def _scattering_events(k, name):
 def energy_integrand_fixed(scene: SceneConfig, xi, k):
     """-tr[M^k] / (2 pi k): the k-scattering-event energy integrand."""
     k = _scattering_events(k, "k")
-    m = _assemble(scene, xi)[0]
-    trace = np.sum(np.linalg.matrix_power(m, k - 1) * m.T)
-    return -float(trace) / (_TWO_PI * k)
+    return float(_energy_rows(scene, xi, k, [None])[0])
 
 
 # ------------------------------------------------------------------ force
@@ -337,42 +364,20 @@ def _force_args(scene: SceneConfig, target, order):
                                  f"order {order!r}: k")
 
 
-def _trace_force(x, dm, t, ds):
-    """tr[X dM/dr_t] per axis; dM has only the blocks (t, j) and (j, t)."""
-    out = np.zeros(3)
-    bt = slice(t * ds, (t + 1) * ds)
-    for j in range(x.shape[0] // ds):
-        if j == t:
-            continue
-        bj = slice(j * ds, (j + 1) * ds)
-        for a in range(3):
-            out[a] += np.einsum("ab,ba->", x[bj, bt], dm[a, bt, bj])
-            out[a] += np.einsum("ab,ba->", x[bt, bj], dm[a, bj, bt])
-    return out
-
-
-def _force_rows(scene: SceneConfig, t, xi, k, n_rows=1):
-    """(n_rows, 3) force integrands tr[X dM/dr_t] / 2 pi, with
-    X = (1 - M)^{-1} for the resummed order (k None) and M^{k-1} for
-    fixed k.  Row 1 is at l_max - 1: every part of M is diagonal in l
-    or built label by label, so M and dM at l_max - 1 are exactly the
-    principal submatrices of one ``_assemble`` on the labels
-    l <= l_max - 1, taken with np.ix_.
+def _force_rows(scene: SceneConfig, t, xi, k, subsets):
+    """(len(subsets), 3) force integrands tr[X dM/dr_t] / 2 pi, one per
+    row of ``_subsets``, with X = (1 - M)^{-1} for the resummed order
+    (k None) and M^{k-1} for fixed k.
     """
     m, dm = _assemble(scene, xi, t)
-    basis, n = scene.basis, len(scene.spheres)
     rows = []
-    for row in range(n_rows):
-        if row:
-            lower = [i for i, (_, l, _) in enumerate(basis.labels())
-                     if l < basis.l_max]
-            idx = np.add.outer(basis.size * np.arange(n), lower).ravel()
-            m, dm = m[np.ix_(idx, idx)], dm[:, idx[:, None], idx]
+    for s in subsets:
+        ms = _principal(m, s)
         if k is None:
-            x = np.linalg.inv(np.eye(m.shape[0]) - m)
+            x = np.linalg.inv(np.eye(ms.shape[0]) - ms)
         else:
-            x = np.linalg.matrix_power(m, k - 1)
-        rows.append(_trace_force(x, dm, t, m.shape[0] // n))
+            x = np.linalg.matrix_power(ms, k - 1)
+        rows.append(np.einsum("ij,aji->a", x, _principal(dm, s)))
     return np.stack(rows) / _TWO_PI
 
 
@@ -397,7 +402,7 @@ def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
     if xi <= 0.0:
         raise ValueError("xi must be positive")
     t, k = _force_args(scene, target, order)
-    return _force_rows(scene, t, xi, k)[0]
+    return _force_rows(scene, t, xi, k, [None])[0]
 
 
 # --------------------------------------------------------------- spectral
@@ -431,22 +436,30 @@ def _si_force_factor(scene: SceneConfig):
     return HBAR_C / scene.length_unit_m ** 2
 
 
+def _group_forces(scene: SceneConfig, t, k, groups, truncation_error=True):
+    """(force, error, n_freq) on sphere t, a (3,) row per sphere group,
+    from one quadrature; the error adds each group's truncation estimate
+    |F(l_max) - F(l_max - 1)|, read from its l_max - 1 row."""
+    lower = truncation_error and scene.l_max >= 2
+    subsets = _subsets(scene, groups, lower)
+    val, qerr, n_freq = _spectral_value(
+        scene, lambda xi: _force_rows(scene, t, xi, k, subsets))
+    if not lower:
+        return val, qerr, n_freq
+    return val[::2], qerr[::2] + np.abs(val[::2] - val[1::2]), n_freq
+
+
 def casimir_force(scene: SceneConfig, target, order="resummed",
                   truncation_error=True):
-    """Force on the target sphere with quadrature + truncation errors.
-
-    The truncation estimate |F(l_max) - F(l_max - 1)| comes from the
-    same frequency evaluations, integrated as a second row.
-    """
+    """Force on the target sphere with quadrature + truncation errors,
+    both from one set of frequency evaluations (``_group_forces``)."""
     t, k = _force_args(scene, target, order)
-    n_rows = 2 if truncation_error and scene.l_max >= 2 else 1
-    val, qerr, n_freq = _spectral_value(
-        scene, lambda xi: _force_rows(scene, t, xi, k, n_rows))
-    terr = np.abs(val[0] - val[1]) if n_rows == 2 else np.zeros(3)
+    force, error, n_freq = _group_forces(
+        scene, t, k, [range(len(scene.spheres))], truncation_error)
     expo = 0.0
     if k is not None:
         expo = _path_exponent(scene, t, 1.0 / _decay_scale(scene), k)
-    return ForceResult(force=val[0], error=qerr[0] + terr, target=target,
+    return ForceResult(force=force[0], error=error[0], target=target,
                        order=str(order), l_max=scene.l_max, n_freq=n_freq,
                        exponent_scale=float(expo),
                        si_factor=_si_force_factor(scene))
@@ -454,27 +467,23 @@ def casimir_force(scene: SceneConfig, target, order="resummed",
 
 def interaction_energy(scene: SceneConfig, *, fixed_k=None):
     """(energy, error, n_freq) in hbar c / L0; ln-det route."""
-    if fixed_k is not None:
-        k = _scattering_events(fixed_k, "fixed_k")
-        f = lambda xi: energy_integrand_fixed(scene, xi, k)
-    else:
-        f = lambda xi: energy_integrand(scene, xi)
-    val, err, n_freq = _spectral_value(scene, f)
-    return float(val), float(err), n_freq
+    k = None if fixed_k is None else _scattering_events(fixed_k, "fixed_k")
+    val, err, n_freq = _spectral_value(
+        scene, lambda xi: _energy_rows(scene, xi, k, [None]))
+    return float(val[0]), float(err[0]), n_freq
 
 
 def three_body_force(scene: SceneConfig, target):
     """F(target | other two) minus the two pair forces, same settings."""
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
-    full = casimir_force(scene, target)
-    p1, p2 = (casimir_force(scene.subscene([target, s.label]), target)
-              for s in scene.spheres if s.label != target)
-    return ForceResult(force=full.force - p1.force - p2.force,
-                       error=full.error + p1.error + p2.error, target=target,
+    t = scene.index_of(target)
+    groups = [range(3)] + [(t, j) for j in range(3) if j != t]
+    force, error, n_freq = _group_forces(scene, t, None, groups)
+    return ForceResult(force=force[0] - force[1] - force[2],
+                       error=error.sum(axis=0), target=target,
                        order="three-body", l_max=scene.l_max,
-                       n_freq=full.n_freq + p1.n_freq + p2.n_freq,
-                       exponent_scale=0.0,
+                       n_freq=n_freq, exponent_scale=0.0,
                        si_factor=_si_force_factor(scene))
 
 
@@ -482,24 +491,19 @@ def three_body_energy(scene: SceneConfig):
     """(V3, error, n_freq): E(1,2,3) - E(1,2) - E(1,3) - E(2,3)."""
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
-    labels = [s.label for s in scene.spheres]
-    val, err, n_freq = interaction_energy(scene)
-    for pair in itertools.combinations(labels, 2):
-        pv, pe, pn = interaction_energy(scene.subscene(pair))
-        val -= pv
-        err += pe
-        n_freq += pn
-    return val, err, n_freq
+    subsets = _subsets(scene, [range(3), (0, 1), (0, 2), (1, 2)])
+    val, err, n_freq = _spectral_value(
+        scene, lambda xi: _energy_rows(scene, xi, None, subsets))
+    return float(val[0] - val[1:].sum()), float(err.sum()), n_freq
 
 
-def potential_along_path(scene: SceneConfig, target, positions,
-                         tail_points=4):
+def potential_along_path(scene: SceneConfig, target, positions):
     """Potential of the target along a receding path, zero at infinity.
 
     positions: (n, 3) target centers ordered by increasing separation
     from the rest of the scene.  V at each point accumulates -F . dl
     inward from the last point, whose own offset comes from a power-law
-    tail fit |F_parallel| ~ s^{-g} over the final tail_points samples.
+    tail fit |F_parallel| ~ s^{-g} over the final _TAIL_POINTS samples.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     n = pos.shape[0]
@@ -531,7 +535,7 @@ def potential_along_path(scene: SceneConfig, target, positions,
         tangent /= np.linalg.norm(tangent)
         f_par[i] = forces[i] @ tangent
     # tail: |F| ~ C s^-g  =>  integral beyond the last point
-    npts = min(tail_points, n)
+    npts = min(_TAIL_POINTS, n)
     s_t = seps[-npts:]
     f_t = np.abs(f_par[-npts:])
     tail_ok = bool(np.all(f_t > 0.0) and np.all(np.diff(f_t) < 0.0))
@@ -543,19 +547,14 @@ def potential_along_path(scene: SceneConfig, target, positions,
     else:
         g = math.nan
         v_last = 0.0
-    # V(s_i) = Int_{s_i}^{inf} F_par ds, accumulated by trapezoid
-    pot = np.empty(n)
-    pot[-1] = v_last
-    for i in range(n - 2, -1, -1):
-        ds = seps[i + 1] - seps[i]
-        pot[i] = pot[i + 1] + 0.5 * (f_par[i] + f_par[i + 1]) * ds
+    # V(s_i) = Int_{s_i}^{inf} F_par ds, accumulated inward by trapezoid
+    ds = np.diff(seps)
+    steps = 0.5 * (f_par[:-1] + f_par[1:]) * ds
+    pot = np.cumsum(np.append(v_last, steps[::-1]))[::-1]
     # crude but honest: force errors propagate through the ds weights
     verr = np.abs(errors).sum(axis=1)
-    ds = np.diff(seps)
-    err = np.empty(n)
-    err[-1] = verr[-1] * seps[-1]
-    for i in range(n - 2, -1, -1):
-        err[i] = err[i + 1] + 0.5 * (verr[i] + verr[i + 1]) * ds[i]
+    steps = 0.5 * (verr[:-1] + verr[1:]) * ds
+    err = np.cumsum(np.append(verr[-1] * seps[-1], steps[::-1]))[::-1]
     if not tail_ok:
         err = err + abs(f_par[-1]) * seps[-1]
     return PotentialResult(separations=seps, potential=pot, error=err,

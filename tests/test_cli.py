@@ -359,6 +359,19 @@ def test_large_n_rejects_bad_input_naming_it(tmp_path, capsys, args, field):
     assert not out.exists()
 
 
+def test_large_n_integral_rejects_n_past_its_rule(tmp_path, capsys):
+    out = tmp_path / "ln.csv"
+    for n in (["--n", "1000"], ["--n-range", "350:360"]):
+        assert main(["large-n", *n, "--alpha-s", "0.05", "--separation",
+                     "8", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "n = " in err and "--method asymptotic" in err
+        assert not out.exists()
+    assert main(["large-n", "--n", "1000", "--alpha-s", "0.05",
+                 "--separation", "8", "--method", "asymptotic",
+                 "--out", str(out)]) == EXIT_OK
+
+
 def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == EXIT_OK
     out = capsys.readouterr().out

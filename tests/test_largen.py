@@ -46,6 +46,41 @@ def test_parameters_reject_bad_values_naming_them(field, value):
         params(**{field: value})
 
 
+def _exact_log_magnitude(p):
+    """ln|V| from the exact moments Int e^{-X} X^j dX = j! of the
+    integer polynomial N^2 P(X/N) = 3 X^2 + 6 N X + 6 N^2, raised to N."""
+    n = p.n
+    poly = [1]
+    for _ in range(n):
+        nxt = [0] * (len(poly) + 2)
+        for j, c in enumerate(poly):
+            nxt[j] += 6 * n * n * c
+            nxt[j + 1] += 6 * n * c
+            nxt[j + 2] += 3 * c
+        poly = nxt
+    moment = sum(c * math.factorial(j) for j, c in enumerate(poly))
+    hop = abs(p.alpha_s) * (p.radius / p.separation) ** 3
+    return (math.lgamma(n) - math.log(n * p.separation) + n * math.log(hop)
+            - 2 * n * math.log(n) + math.log(moment))
+
+
+@pytest.mark.parametrize("n", [50, 200, 349])
+def test_integral_matches_exact_moment_sum(n):
+    p = params(n=n, alpha_s=0.05)
+    got = largen_potential_integral(p).log_magnitude
+    assert got == pytest.approx(_exact_log_magnitude(p), rel=1e-13)
+
+
+def test_integral_is_bounded_in_n():
+    # the Gauss-Laguerre rule takes N + 10 nodes; from 364 nodes scipy
+    # returns NaN weights, so N = 353 is the last N it resolves
+    top = largen_potential_integral(params(n=353))
+    assert math.isfinite(top.log_magnitude)
+    with pytest.raises(ValueError, match="n = 354.*--method asymptotic"):
+        largen_potential_integral(params(n=354))
+    assert math.isfinite(largen_asymptotic(params(n=10 ** 6)).log_magnitude)
+
+
 def test_negative_strength_gives_the_same_magnitude():
     for route in (largen_potential_integral, largen_asymptotic):
         assert route(params(alpha_s=-0.05)).log_magnitude \
