@@ -249,7 +249,7 @@ def _write_rows(out, comments, columns, rows):
             fh.write(text)
 
 
-def _echo_comments(args, scene, extra=()):
+def _echo_comments(args, scene):
     skip = {"func", "out"}
     bits = []
     for key in sorted(vars(args)):
@@ -259,8 +259,7 @@ def _echo_comments(args, scene, extra=()):
     return [f"casphere {__version__}", " ".join(bits),
             f"scene: l_max={scene.l_max} T={scene.temperature_kelvin}K "
             f"spheres={[(s.label, s.center, s.radius) for s in scene.spheres]}",
-            "V in hbar*c/(4 pi), F in hbar*c per length unit squared",
-            *extra]
+            "V in hbar*c/(4 pi), F in hbar*c per length unit squared"]
 
 
 def _flagged(value, error):
@@ -348,13 +347,10 @@ def run_potential(args):
         rows.append((param, res.potential[i] * four_pi,
                      res.error[i] * four_pi, res.l_max,
                      res.n_freq_points[i], 0.0))
-    comments = _echo_comments(
-        args, scene,
-        (f"tail_exponent={res.tail_exponent} tail_ok={res.tail_ok}",))
-    _write_rows(args.out, comments, _SCALAR_COLUMNS, rows)
-    if not res.tail_ok or _flagged(res.potential, res.error):
-        print("numerical flag: power-law tail not established or "
-              "error dominates", file=sys.stderr)
+    _write_rows(args.out, _echo_comments(args, scene), _SCALAR_COLUMNS, rows)
+    if _flagged(res.potential, res.error):
+        print("numerical flag: error estimate dominates at least one row",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -528,7 +524,8 @@ def build_parser():
     p.set_defaults(func=run_force)
 
     p = sub.add_parser("potential",
-                       help="potential along a receding sweep path")
+                       help="interaction energy of the target, relative "
+                            "to infinity, at each sweep point")
     _add_common(p, sweep_required=True)
     p.set_defaults(func=run_potential)
 

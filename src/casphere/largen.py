@@ -133,8 +133,11 @@ def largen_potential_integral(params: LargeNParams, a_bar=DEFAULT_A_BAR):
     f = hop_scale * np.polyval(a_bar, nodes / n)
     if np.any(f <= 0.0):
         raise ValueError("hop polynomial must stay positive on the axis")
-    # logsumexp of ln(w_i) + N ln f_i, then the (N-1)!/(N s) prefactor
-    logs = np.log(weights) + n * np.log(f)
+    # logsumexp of ln(w_i) + N ln f_i, then the (N-1)!/(N s) prefactor;
+    # from N = 200 the far weights underflow to 0 and get ln w = -inf
+    log_w = np.log(weights, out=np.full_like(weights, -np.inf),
+                   where=weights > 0.0)
+    logs = log_w + n * np.log(f)
     top = logs.max()
     log_int = top + math.log(np.sum(np.exp(logs - top)))
     log_mag = (math.lgamma(n) - math.log(n * params.separation) + log_int)

@@ -47,7 +47,6 @@ from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
 from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
-_TAIL_POINTS = 4   # samples in the power-law fit of the potential's tail
 
 
 # ----------------------------------------------------------------- scene
@@ -183,15 +182,15 @@ class ForceResult:
 class PotentialResult:
     """Interaction potential along a path, hbar c / L0 scene units.
 
-    potential is relative to infinite separation; the tail beyond the
-    last sample is a fitted power law s^{-tail_exponent}.  Plots are
-    often drawn in the hbar c / 4 pi unit, provided as potential_4pi.
+    potential is relative to the target at infinity: at each sample,
+    E(scene) - E(scene without the target).  separations are distances
+    from the mean center of the other spheres; error adds the quadrature
+    estimate and |V - V(l_max - 1)|.  Plots are often drawn in the
+    hbar c / 4 pi unit, provided as potential_4pi.
     """
     separations: np.ndarray
     potential: np.ndarray
     error: np.ndarray
-    tail_exponent: float
-    tail_ok: bool
     target: str
     l_max: int
     n_freq: int
@@ -498,66 +497,33 @@ def three_body_energy(scene: SceneConfig):
 
 
 def potential_along_path(scene: SceneConfig, target, positions):
-    """Potential of the target along a receding path, zero at infinity.
+    """Potential of the target at each of positions, (n, 3) centers.
 
-    positions: (n, 3) target centers ordered by increasing separation
-    from the rest of the scene.  V at each point accumulates -F . dl
-    inward from the last point, whose own offset comes from a power-law
-    tail fit |F_parallel| ~ s^{-g} over the final _TAIL_POINTS samples.
+    Every point is one quadrature of the row difference E_all - E_others
+    (``_energy_rows`` over ``_subsets``), with its l_max - 1 cut for the
+    truncation estimate, so the points are independent of each other.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    n = pos.shape[0]
-    if n == 0:
+    if pos.shape[0] == 0:
         raise ValueError("empty path")
-    others = np.array([s.center_array for s in scene.spheres
-                       if s.label != target])
-    ref = others.mean(axis=0)
-    seps = np.linalg.norm(pos - ref, axis=1)
-    if np.any(np.diff(seps) <= 0.0):
-        raise ValueError("path must have increasing separation")
-    results = [casimir_force(scene.moved(target, p), target) for p in pos]
-    forces = np.array([r.force for r in results])
-    errors = np.array([r.error for r in results])
-    counts = np.array([r.n_freq for r in results])
-    n_freq = int(counts.sum())
-    if n == 1:
-        return PotentialResult(separations=seps, potential=np.zeros(1),
-                               error=np.abs(errors[0]).sum(keepdims=True),
-                               tail_exponent=math.nan, tail_ok=False,
-                               target=target, l_max=scene.l_max,
-                               n_freq=n_freq, n_freq_points=counts)
-    # tangential force component along the path
-    f_par = np.empty(n)
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        tangent = pos[hi] - pos[lo]
-        tangent /= np.linalg.norm(tangent)
-        f_par[i] = forces[i] @ tangent
-    # tail: |F| ~ C s^-g  =>  integral beyond the last point
-    npts = min(_TAIL_POINTS, n)
-    s_t = seps[-npts:]
-    f_t = np.abs(f_par[-npts:])
-    tail_ok = bool(np.all(f_t > 0.0) and np.all(np.diff(f_t) < 0.0))
-    if tail_ok:
-        g = -np.polyfit(np.log(s_t), np.log(f_t), 1)[0]
-        tail_ok = g > 1.5
-    if tail_ok:
-        v_last = f_par[-1] * seps[-1] / (g - 1.0)
-    else:
-        g = math.nan
-        v_last = 0.0
-    # V(s_i) = Int_{s_i}^{inf} F_par ds, accumulated inward by trapezoid
-    ds = np.diff(seps)
-    steps = 0.5 * (f_par[:-1] + f_par[1:]) * ds
-    pot = np.cumsum(np.append(v_last, steps[::-1]))[::-1]
-    # crude but honest: force errors propagate through the ds weights
-    verr = np.abs(errors).sum(axis=1)
-    steps = 0.5 * (verr[:-1] + verr[1:]) * ds
-    err = np.cumsum(np.append(verr[-1] * seps[-1], steps[::-1]))[::-1]
-    if not tail_ok:
-        err = err + abs(f_par[-1]) * seps[-1]
-    return PotentialResult(separations=seps, potential=pot, error=err,
-                           tail_exponent=float(g), tail_ok=tail_ok,
-                           target=target, l_max=scene.l_max, n_freq=n_freq,
-                           n_freq_points=counts)
+    if len(scene.spheres) < 2:
+        raise ValueError("potential needs at least two spheres")
+    t = scene.index_of(target)
+    others = [i for i in range(len(scene.spheres)) if i != t]
+    ref = np.mean([scene.spheres[i].center_array for i in others], axis=0)
+    lower = scene.l_max >= 2
+    subsets = _subsets(scene, [range(len(scene.spheres)), others], lower)
+    pot, err, counts = [], [], []
+    for p in pos:
+        sc = scene.moved(target, p)
+        # rows [V] or [V, V(l_max - 1)]: the all-sphere half minus the rest
+        val, qerr, n_freq = _spectral_value(sc, lambda xi: np.subtract(
+            *np.split(_energy_rows(sc, xi, None, subsets), 2)))
+        pot.append(val[0])
+        err.append(qerr[0] + abs(val[0] - val[-1]))
+        counts.append(n_freq)
+    counts = np.array(counts)
+    return PotentialResult(separations=np.linalg.norm(pos - ref, axis=1),
+                           potential=np.array(pot), error=np.array(err),
+                           target=target, l_max=scene.l_max,
+                           n_freq=int(counts.sum()), n_freq_points=counts)

@@ -12,7 +12,7 @@ from casphere.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SceneParseError,
                           main, parse_scene, parse_sweep, sweep_scenes)
 from casphere.largen import LargeNParams, largen_potential_integral
 from casphere.mie import DrudeLorentzPermittivity
-from casphere.scattering import three_body_energy
+from casphere.scattering import interaction_energy, three_body_energy
 
 
 def scene_doc(n_spheres=2, l_max=1, d=3.5, **extra):
@@ -299,7 +299,12 @@ def test_potential_sweep_csv(tmp_path):
     assert len(rows) == 12
     v = np.array([float(r[1]) for r in rows])
     assert np.all(v < 0.0) and np.all(np.diff(v) > 0.0)
-    assert any("tail_ok=True" in c for c in comments)
+    assert not any("tail" in c for c in comments)
+    points = sweep_scenes(parse_scene(scene_doc()),
+                          parse_sweep("b:z:3.5:9.0:12:log"))
+    for cell, (_, sc) in zip(v, points):
+        want, _, _ = interaction_energy(sc)
+        assert cell == pytest.approx(4.0 * math.pi * want, rel=1e-12)
 
 
 def test_three_body_csv(tmp_path):

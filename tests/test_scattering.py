@@ -455,20 +455,66 @@ def test_potential_along_path_integrates_force():
     seps = np.geomspace(3.0, 9.0, 25)
     path = np.stack([np.zeros_like(seps), np.zeros_like(seps), seps], axis=1)
     res = potential_along_path(sc, "b", path)
-    assert res.tail_ok
-    assert 6.0 < res.tail_exponent < 9.0
     # potential is attractive and decays monotonically to zero
     assert np.all(res.potential < 0.0)
     assert np.all(np.diff(res.potential) > 0.0)
-    # fundamental theorem: matches the directly integrated energy
+    # each point is the pair's interaction energy there
     for i in (0, 12):
         e_i, _, _ = interaction_energy(sc.moved("b", path[i]))
-        assert res.potential[i] == pytest.approx(e_i, rel=0.05)
+        assert res.potential[i] == pytest.approx(e_i, rel=1e-12)
     assert res.potential_4pi[0] == pytest.approx(
         4.0 * math.pi * res.potential[0])
     single = potential_along_path(sc, "b", [[0.0, 0.0, 5.0]])
-    assert single.potential[0] == 0.0
-    assert not single.tail_ok
+    e_5, _, _ = interaction_energy(sc.moved("b", (0.0, 0.0, 5.0)))
+    assert single.potential[0] == pytest.approx(e_5, rel=1e-12)
+    assert single.n_freq == single.n_freq_points[0] > 0
+    with pytest.raises(ValueError, match="empty path"):
+        potential_along_path(sc, "b", np.empty((0, 3)))
+    with pytest.raises(ValueError, match="two spheres"):
+        potential_along_path(replace(sc, spheres=sc.spheres[:1]), "a",
+                             [[1.0, 0.0, 0.0]])
+
+
+def off_axis_three_spheres():
+    # a-b is the smallest gap at every target position used below, so
+    # the sub-scene without c integrates on the same nodes
+    return SceneConfig(
+        spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, EPS4),
+                 SphereSpec("b", (0.3, 0.2, 2.8), 1.0, EPS4),
+                 SphereSpec("c", (3.6, 1.1, 1.5), 0.8, EPS4)),
+        l_max=2)
+
+
+def test_potential_is_energy_minus_energy_without_target():
+    s3 = off_axis_three_spheres()
+    path = [[3.6, 1.1, 1.5], [4.4, 1.3, 1.2]]
+    res = potential_along_path(s3, "c", path)
+    e_ab, _, _ = interaction_energy(replace(s3, spheres=s3.spheres[:2]))
+    for p, v in zip(path, res.potential):
+        e_all, _, _ = interaction_energy(s3.moved("c", p))
+        assert v == pytest.approx(e_all - e_ab, rel=1e-12)
+    assert np.all(res.error > 0.0)
+    assert res.separations == pytest.approx(
+        np.linalg.norm(np.array(path) - [0.15, 0.1, 1.4], axis=1))
+
+
+def test_potential_gradient_is_minus_force():
+    s3 = off_axis_three_spheres()
+    h = 1e-3
+    c = np.array(s3.spheres[2].center)
+    v = potential_along_path(s3, "c", [c + [h, 0.0, 0.0],
+                                       c - [h, 0.0, 0.0]]).potential
+    f = casimir_force(s3, "c", truncation_error=False).force[0]
+    assert -(v[0] - v[1]) / (2.0 * h) == pytest.approx(f, rel=1e-5)
+
+
+def test_potential_at_finite_temperature_is_interaction_energy():
+    warm = SceneConfig(spheres=two_spheres(l_max=2).spheres, l_max=2,
+                       temperature_kelvin=293.0, length_unit_m=1e-6)
+    res = potential_along_path(warm, "b", [[0.0, 0.0, 3.0]])
+    e, _, n_freq = interaction_energy(warm)
+    assert res.potential[0] == pytest.approx(e, rel=1e-12)
+    assert res.n_freq == n_freq
 
 
 def test_finite_temperature_run():
