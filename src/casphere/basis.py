@@ -35,7 +35,8 @@ class BasisSpec:
     l_max: int
 
     def __post_init__(self):
-        if not isinstance(self.l_max, numbers.Integral) \
+        if isinstance(self.l_max, bool) \
+                or not isinstance(self.l_max, numbers.Integral) \
                 or not 1 <= self.l_max <= _L_MAX_CAP:
             raise ValueError(f"l_max must be an integer in [1, {_L_MAX_CAP}], "
                              f"got {self.l_max!r}")

@@ -72,20 +72,28 @@ class SceneParseError(ValueError):
 
 # ---------------------------------------------------------------- scenes
 
+def _number(value, where):
+    """float(value), refusing JSON true/false (a bool is an int here)."""
+    if isinstance(value, bool):
+        raise SceneParseError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_permittivity(doc, where):
     if not isinstance(doc, dict) or "model" not in doc:
         raise SceneParseError(f"{where}: expected an object with a 'model'")
     model = doc["model"]
     try:
         if model == "constant":
-            return ConstantPermittivity(float(doc["eps"]))
+            return ConstantPermittivity(_number(doc["eps"], where + ".eps"))
         if model == "drude-lorentz":
-            osc = tuple(tuple(float(x) for x in row)
+            osc = tuple(tuple(_number(x, where + ".oscillators") for x in row)
                         for row in doc["oscillators"])
             return DrudeLorentzPermittivity(osc)
         if model == "tabulated":
-            return TabulatedPermittivity(np.asarray(doc["xi"], dtype=float),
-                                         np.asarray(doc["eps"], dtype=float))
+            return TabulatedPermittivity(
+                *(tuple(_number(x, f"{where}.{key}") for x in doc[key])
+                  for key in ("xi", "eps")))
     except SceneParseError:
         raise
     except KeyError as exc:
@@ -121,8 +129,9 @@ def parse_scene(doc):
         try:
             spheres.append(SphereSpec(
                 label=str(s["label"]),
-                center=tuple(float(c) for c in s["center"]),
-                radius=float(s["radius"]),
+                center=tuple(_number(c, where + ".center")
+                             for c in s["center"]),
+                radius=_number(s["radius"], where + ".radius"),
                 permittivity=_parse_permittivity(
                     s["permittivity"], where + ".permittivity")))
         except SceneParseError:
@@ -131,7 +140,7 @@ def parse_scene(doc):
             raise SceneParseError(f"{where}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise SceneParseError(f"{where}: {exc}") from exc
-    length_unit_m = float(doc.get("length_unit_m", 0.0))
+    length_unit_m = _number(doc.get("length_unit_m", 0.0), "length_unit_m")
     if units == "SI":
         if "length_unit_m" in doc:
             raise SceneParseError(
@@ -155,7 +164,8 @@ def parse_scene(doc):
             spheres=tuple(spheres),
             background=background,
             l_max=doc.get("l_max", 3),
-            temperature_kelvin=float(doc.get("temperature_kelvin", 0.0)),
+            temperature_kelvin=_number(doc.get("temperature_kelvin", 0.0),
+                                       "temperature_kelvin"),
             length_unit_m=length_unit_m,
             spectral=spectral)
     except ValueError as exc:
@@ -432,8 +442,7 @@ def _selfcheck_rows():
     worst = 0.0
     for x in (0.3, 2.0, 17.0):
         i_v, i_d = mod_sph_bessel("i", l, x), mod_sph_bessel_dx("i", l, x)
-        e_v = (-1) ** l * (2 / math.pi) * mod_sph_bessel("k", l, x)
-        e_d = (-1) ** l * (2 / math.pi) * mod_sph_bessel_dx("k", l, x)
+        e_v, e_d = mod_sph_bessel("e", l, x), mod_sph_bessel_dx("e", l, x)
         want = (-1.0) ** (l + 1) / x ** 2
         worst = max(worst, np.max(np.abs(i_v * e_d - e_v * i_d - want)
                                   / np.abs(want)))

@@ -25,7 +25,8 @@ Conventions (fixed here once, relied on everywhere):
   relations as i_l (so e_0(x) = exp(-x)/x), which lets the scalar
   addition theorem, the gradient identity and the angular-momentum
   identity hold with one common set of coupling coefficients for both
-  kinds.
+  kinds.  ``specfun.RadialKind`` names exactly this pair, REGULAR "i"
+  and OUTGOING "e"; k_l is not evaluated anywhere.
 
 * Scalar waves: psi^reg_lm = i_l(kappa r) Y_lm(r^),
   psi^out_lm = e_l(kappa r) Y_lm(r^).  Addition theorem used

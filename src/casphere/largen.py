@@ -102,8 +102,8 @@ def derive_a_bar(n_check=4):
     def q_of(x):
         tot = 0.0
         for p, w in _beta_terms(1, 0, 1, 0):
-            e_p = (-1.0) ** p * (2.0 / math.pi) * mod_sph_bessel("k", p, x)
-            tot += w * e_p * sph_harm(p, 0, 0.0, 0.0).real
+            tot += (w * mod_sph_bessel("e", p, x)
+                    * sph_harm(p, 0, 0.0, 0.0).real)
         return tot * x ** 3 * math.exp(x)
 
     xs = np.linspace(1.5, 4.5, n_check)

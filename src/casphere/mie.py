@@ -18,9 +18,9 @@ small x; T^TM_1 ~ -(2/3) x^3 (eps_rel - 1)/(eps_rel + 2) identifies
 -(3/2) T^TM_1 / x^3 with the normalized dipole polarizability.
 
 T_l grows like e^{2 x_B} at large argument.  ``scaled=True`` returns
-T_l e^{-2 x_B}, computed entirely from scaled Bessel functions so no
-intermediate overflows; the unscaled form raises once e^{2 x_B} itself
-would overflow.
+T_l e^{-2 x_B}, computed entirely from the scaled i_l e^{-x} and
+e_l e^{+x} of ``specfun`` so no intermediate overflows; the unscaled
+form raises once e^{2 x_B} itself would overflow.
 
 The T-matrix is diagonal in (pol, l, m) with m-independent entries, in
 the complex-m and real-m bases alike.
@@ -133,12 +133,11 @@ def mie_diag(basis: BasisSpec, x, eps_rel, scaled=False):
     if eps_rel == 1.0:
         return np.zeros(basis.size)
     l = np.arange(1, basis.l_max + 1)
-    # i_l, S_l' scaled by e^{-x}, e_l = (-1)^l (2/pi) k_l, E_l' by e^{+x}
+    # i_l, S_l' scaled by e^{-x}; e_l, E_l' by e^{+x}
     ib, spb = riccati_ik(RadialKind.REGULAR, l, x, scaled=True)
     is_, sps = riccati_ik(RadialKind.REGULAR, l, math.sqrt(eps_rel) * x,
                           scaled=True)
-    eb, epb = ((-1.0) ** l * (2.0 / math.pi) * v
-               for v in riccati_ik(RadialKind.DECAYING, l, x, scaled=True))
+    eb, epb = riccati_ik(RadialKind.OUTGOING, l, x, scaled=True)
     # common scale e^{x+xs} in numerators, e^{-x+xs} in denominators
     t_te = (spb * is_ - ib * sps) / (eb * sps - epb * is_)
     t_tm = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)

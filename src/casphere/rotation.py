@@ -11,9 +11,11 @@ rotation is absorbed by their rotation-equivariant construction), so a
 single block-diagonal matrix rotates the whole basis and commutes with
 any sphere T-matrix.
 
-The d-matrix uses the factorial sum formula; precision degrades slowly
-with l from alternating-term cancellation, which is negligible for the
-l range admitted by ``specfun.L_HARD_CAP``.
+The d-matrix is exp(-i beta J_y) from the eigenvectors V of the
+tridiagonal J_y, d^l(beta) = V e^{-i beta m} V^dagger, orthogonal to
+rounding at every l.  The factorial sum formula is not: its alternating
+terms cancel, to |d d^T - 1| up to 4e-10 at l = 20 and 4e-7 at l = 29,
+which fails the real-basis check of ``to_real_basis`` from l_max 18 on.
 """
 
 import math
@@ -24,30 +26,16 @@ import numpy as np
 from .basis import BasisSpec, to_real_basis
 
 
-def _lg(n):
-    return math.lgamma(n + 1.0)
-
-
 def wigner_d_matrix(l, beta):
-    """Real matrix d^l_{m'm}(beta), indexed [m'+l, m+l]."""
-    dim = 2 * l + 1
-    out = np.zeros((dim, dim))
-    c = math.cos(0.5 * beta)
-    s = math.sin(0.5 * beta)
-    for mp in range(-l, l + 1):
-        for m in range(-l, l + 1):
-            pref = 0.5 * (_lg(l + mp) + _lg(l - mp) + _lg(l + m) + _lg(l - m))
-            k_lo = max(0, m - mp)
-            k_hi = min(l + m, l - mp)
-            tot = 0.0
-            for k in range(k_lo, k_hi + 1):
-                a = 2 * l + m - mp - 2 * k
-                b = mp - m + 2 * k
-                ln_den = _lg(l + m - k) + _lg(k) + _lg(mp - m + k) + _lg(l - mp - k)
-                sign = -1.0 if (mp - m + k) % 2 else 1.0
-                tot += sign * math.exp(pref - ln_den) * (c ** a) * (s ** b)
-            out[mp + l, m + l] = tot
-    return out
+    """Real matrix d^l_{m'm}(beta) = exp(-i beta J_y), indexed [m'+l, m+l].
+
+    J_y is tridiagonal in |l m>; ``eigh`` returns its eigenvectors for
+    the eigenvalues m = -l..l in ascending order.
+    """
+    m = np.arange(-l, l + 1)
+    k = 0.5j * np.sqrt(l * (l + 1.0) - m[:-1] * m[1:])
+    _, vec = np.linalg.eigh(np.diag(k, 1) - np.diag(k, -1))
+    return ((vec * np.exp(-1j * beta * m)) @ vec.conj().T).real
 
 
 def wigner_bigd_matrix(l, alpha, beta, gamma):

@@ -8,12 +8,14 @@ exact-arithmetic Wigner 3j / Gaunt coefficients.  Every order argument
 may be an integer array: one call returns a whole table of orders, each
 entry bit-identical to the scalar call.
 
-Conventions:
-    i_l(x) = sqrt(pi/(2x)) I_{l+1/2}(x)     regular modified
-    k_l(x) = sqrt(pi/(2x)) K_{l+1/2}(x)     decaying modified,
-                                            k_0(x) = (pi/2) e^{-x}/x
-    scaled variants: i_l(x) e^{-x}, k_l(x) e^{+x}
-    Wronskian: i_l(x) k_l'(x) - i_l'(x) k_l(x) = -pi/(2 x^2)
+Conventions (the radial pair of ``constants``):
+    i_l(x) = sqrt(pi/(2x)) I_{l+1/2}(x)     regular
+    e_l(x) = (-1)^l (2/pi) k_l(x)           outgoing, e_0(x) = e^{-x}/x,
+        k_l(x) = sqrt(pi/(2x)) K_{l+1/2}(x)
+    Both obey z_{l-1} - z_{l+1} = (2l+1)/x z_l and
+    z_l' = z_{l-1} - (l+1)/x z_l (z_0' = z_1).
+    scaled variants: i_l(x) e^{-x}, e_l(x) e^{+x}
+    Wronskian: i_l(x) e_l'(x) - i_l'(x) e_l(x) = (-1)^{l+1} / x^2
 
 Associated Legendre functions are fully normalized including the
 Condon-Shortley phase; ``legendre_table`` computes P~_lm for every
@@ -35,9 +37,9 @@ L_HARD_CAP = 60
 
 
 class RadialKind(Enum):
-    """Which modified spherical Bessel solution: regular i_l or decaying k_l."""
+    """Which modified spherical Bessel solution: regular i_l or outgoing e_l."""
     REGULAR = "i"
-    DECAYING = "k"
+    OUTGOING = "e"
 
 
 def _check_l(l):
@@ -61,22 +63,22 @@ _X_OVERFLOW = 700.0   # exp(x) overflows just above this
 
 
 def mod_sph_bessel(kind, l, x, scaled=False):
-    """Modified spherical Bessel function i_l(x) or k_l(x), x >= 0.
+    """Modified spherical Bessel function i_l(x) or e_l(x), x >= 0.
 
     Parameters
     ----------
-    kind : RadialKind or {"i", "k"}
+    kind : RadialKind or {"i", "e"}
     l : int or int array
         Orders; they broadcast against x.  A scalar l and x give a float.
     x : float or array
     scaled : bool
-        If True return i_l(x) e^{-x} (regular) or k_l(x) e^{+x}
-        (decaying); these stay representable at large x.  The unscaled
+        If True return i_l(x) e^{-x} (regular) or e_l(x) e^{+x}
+        (outgoing); these stay representable at large x.  The unscaled
         regular kind raises instead of overflowing.
 
-    The decaying kind uses the exact terminating sum
-    k_l(x) e^{x} = (pi/2x) sum_{k=0..l} (l+k)! / (k! (l-k)! (2x)^k),
-    whose terms are all positive (no cancellation at any x).
+    The outgoing kind uses the exact terminating sum
+    e_l(x) e^{x} = (-1)^l sum_{k=0..l} (l+k)! / (k! (l-k)! (2x)^k) / x,
+    whose terms all share one sign (no cancellation at any x).
     """
     kind = RadialKind(kind)
     l = _check_l(l)
@@ -108,7 +110,7 @@ def mod_sph_bessel(kind, l, x, scaled=False):
             for k in range(1, int(l.max(initial=0)) + 1):
                 term = term * ((l + k) * (l - k + 1) / (2.0 * k)) / x
                 acc = np.where(k <= l, acc + term, acc)
-            out = (np.pi / 2.0) * acc / x
+            out = np.where(l % 2, -acc, acc) / x
         if not scaled:
             out = out * np.exp(-x)
     if scalar:
@@ -117,26 +119,21 @@ def mod_sph_bessel(kind, l, x, scaled=False):
 
 
 def mod_sph_bessel_dx(kind, l, x, scaled=False):
-    """d/dx of i_l or k_l; with scaled=True, (i_l)' e^{-x} or (k_l)' e^{+x}.
+    """d/dx of i_l or e_l; with scaled=True, (i_l)' e^{-x} or (e_l)' e^{+x}.
 
-    Uses i_l' = i_{l-1} - (l+1)/x i_l and k_l' = -k_{l-1} - (l+1)/x k_l
-    for l >= 1, i_0' = i_1 and k_0' = -k_0 - k_0/x.  Orders broadcast
-    as in ``mod_sph_bessel``.
+    Both kinds share z_l' = z_{l-1} - (l+1)/x z_l for l >= 1 and
+    z_0' = z_1.  Orders broadcast as in ``mod_sph_bessel``.
     """
     return _value_and_dx(kind, l, x, scaled)[1]
 
 
 def _value_and_dx(kind, l, x, scaled):
-    """(z_l, z_l') with z_l evaluated once; see ``mod_sph_bessel_dx``."""
-    kind = RadialKind(kind)
-    l = _check_l(l)
-    x = np.asarray(x, dtype=float)
-    here = mod_sph_bessel(kind, l, x, scaled=scaled)
-    if kind is RadialKind.REGULAR:
-        lower = mod_sph_bessel(kind, np.abs(l - 1), x, scaled=scaled)
-        return here, np.where(l == 0, lower, lower - (l + 1) / x * here)[()]
-    lower = mod_sph_bessel(kind, np.maximum(l - 1, 0), x, scaled=scaled)
-    return here, -lower - (l + 1) / x * here
+    """(z_l, z_l') from one ``mod_sph_bessel`` call over the orders and
+    their lower neighbours; see ``mod_sph_bessel_dx``."""
+    l, x = np.broadcast_arrays(_check_l(l), np.asarray(x, dtype=float))
+    here, lower = mod_sph_bessel(kind, np.stack([l, np.abs(l - 1)]), x,
+                                 scaled=scaled)
+    return here, np.where(l == 0, lower, lower - (l + 1) / x * here)[()]
 
 
 def riccati_ik(kind, l, x, scaled=False):

@@ -28,9 +28,11 @@ Cartesian gradients with respect to d come from the axial operator: its
 commutators with the rotation generators, and W @ Z_p'.  No finite
 differences anywhere.
 
-Scaling: outgoing radial functions decay like e^{-kappa d}.  Operators
-come back as a mantissa with the factor e^{exponent} removed and the
-exponent beside it, -kappa|d| (outgoing) or +kappa|d| (regular).
+The kind of a translation is a ``specfun.RadialKind``: ``KIND_OUTGOING``
+(e_p) or ``KIND_REGULAR`` (i_p).  Scaling: the series reads the scaled
+tables e_p(x) e^{+x} and i_p(x) e^{-x}, so operators come back as a
+mantissa with the factor e^{exponent} removed and the exponent beside
+it, -kappa|d| (outgoing) or +kappa|d| (regular).
 
 Public matrices are in the real-m basis (real entries).  The production
 ``translation_matrix`` composes the axial operator with rotations; the
@@ -50,8 +52,8 @@ from .rotation import axis_euler_angles, rotate_block
 from .specfun import (RadialKind, _value_and_dx, gaunt_yyc, mod_sph_bessel,
                       sph_harm)
 
-KIND_OUTGOING = "outgoing"
-KIND_REGULAR = "regular"
+KIND_OUTGOING = RadialKind.OUTGOING
+KIND_REGULAR = RadialKind.REGULAR
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -233,19 +235,6 @@ def _axial_weights(l_max):
 
 # ------------------------------------------------------------- evaluation
 
-def _scaled_radial(kind, p_max, x, dx=False):
-    """Z_p(x) e^{-+x}, p = 0..p_max, Z = e or i; with dx the pair
-    (Z_p(x), Z_p'(x)) e^{-+x} from one evaluation."""
-    p = np.arange(p_max + 1)
-    rkind = (RadialKind.DECAYING if kind == KIND_OUTGOING
-             else RadialKind.REGULAR)
-    out = (np.array(_value_and_dx(rkind, p, x, True)) if dx
-           else mod_sph_bessel(rkind, p, x, scaled=True))
-    if kind == KIND_OUTGOING:
-        return (-1.0) ** p * (2.0 / math.pi) * out
-    return out
-
-
 def _contract(table, lut, ds, p_max):
     vals = table.ws * lut[table.ps, table.qs + p_max]
     flat = table.rows.astype(np.int64) * ds + table.cols
@@ -260,9 +249,9 @@ def _series(basis, kind, x, theta, phi):
     tab_mm, tab_mn = _build_tables(basis.l_max)
     p_max = tab_mm.p_max
     # indexed [p, q + p_max]; Y_pq is 0 where |q| > p
-    lut = (_scaled_radial(kind, p_max, x)[:, None]
-           * sph_harm(np.arange(p_max + 1)[:, None],
-                      np.arange(-p_max, p_max + 1), theta, phi))
+    p = np.arange(p_max + 1)
+    lut = (mod_sph_bessel(kind, p, x, scaled=True)[:, None]
+           * sph_harm(p[:, None], np.arange(-p_max, p_max + 1), theta, phi))
     ds = basis.scalar_size
     mm = _contract(tab_mm, lut, ds, p_max)
     mn = _contract(tab_mn, lut, ds, p_max)
@@ -297,11 +286,9 @@ class TranslationBlock:
 
 def _exponent(kind, kappa, dist):
     """-kappa dist (outgoing) or +kappa dist (regular), arguments checked."""
-    if kind not in (KIND_OUTGOING, KIND_REGULAR):
-        raise ValueError(f"kind must be '{KIND_OUTGOING}' or '{KIND_REGULAR}'")
     if kappa <= 0.0 or dist <= 0.0:
         raise ValueError("kappa and |displacement| must be positive")
-    return -kappa * dist if kind == KIND_OUTGOING else kappa * dist
+    return -kappa * dist if RadialKind(kind) is KIND_OUTGOING else kappa * dist
 
 
 def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
@@ -319,8 +306,8 @@ def axial_translation(basis: BasisSpec, kind, kappa, distance):
     dist = float(distance)
     exponent = _exponent(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
-    return TranslationBlock(
-        w @ _scaled_radial(kind, w.shape[-1] - 1, kappa * dist), exponent)
+    z = mod_sph_bessel(kind, np.arange(w.shape[-1]), kappa * dist, scaled=True)
+    return TranslationBlock(w @ z, exponent)
 
 
 def _turn(basis, d, ax):
@@ -355,7 +342,7 @@ def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
     dist = float(np.linalg.norm(d))
     exponent = _exponent(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
-    z, dz = _scaled_radial(kind, w.shape[-1] - 1, kappa * dist, dx=True)
+    z, dz = _value_and_dx(kind, np.arange(w.shape[-1]), kappa * dist, True)
     ax = w @ z
     g_x, g_y = _generators(basis.l_max)
     axial = np.stack([(g_y @ ax - ax @ g_y) / dist,

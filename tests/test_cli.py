@@ -96,6 +96,8 @@ def test_parse_scene_permittivity_models():
                       DrudeLorentzPermittivity)
     assert scene.spheres[1].permittivity.eps_imag_freq(1.0) == 3.0
     assert scene.background.eps_imag_freq(0.5) == 1.3
+    # a parsed scene is a value: equal and hashable like a built one
+    assert parse_scene(doc) == scene and hash(parse_scene(doc)) == hash(scene)
 
 
 def test_parse_sweep():
@@ -155,6 +157,12 @@ def _nan_drude(doc):
     return doc
 
 
+def _sphere_field(index, key, value):
+    doc = scene_doc()
+    doc["spheres"][index][key] = value
+    return doc
+
+
 @pytest.mark.parametrize("doc, field, args", [
     (scene_doc(temperature_kelvin=float("nan")), "temperature_kelvin", []),
     (_nan_center(scene_doc()), r"spheres\[1\]", []),
@@ -171,10 +179,19 @@ def _nan_drude(doc):
      "matsubara_tail_tol", []),
     (scene_doc(spectral={"n_nodes": 40.5}), "n_nodes", []),
     (scene_doc(spectral={"n_nodes": True}), "n_nodes", []),
+    # JSON true is a Python int; every scene number refuses it
+    (scene_doc(l_max=True), "l_max", []),
+    (_sphere_field(1, "radius", True), r"spheres\[1\]\.radius", []),
+    (_sphere_field(1, "permittivity", {"model": "constant", "eps": True}),
+     r"spheres\[1\]\.permittivity\.eps", []),
+    (_sphere_field(0, "center", [0, 0, True]), r"spheres\[0\]\.center", []),
+    (scene_doc(temperature_kelvin=True, length_unit_m=1e-7),
+     "temperature_kelvin", []),
 ], ids=["temperature-nan", "center-nan", "too-many-nodes", "drude-nan",
         "adaptive-removed", "lmax-fractional", "lmax-over-cap",
         "matsubara-max-zero", "xi-eps-negative", "tail-tol-nan",
-        "nodes-fractional", "nodes-bool"])
+        "nodes-fractional", "nodes-bool", "lmax-bool", "radius-bool",
+        "eps-bool", "center-bool", "temperature-bool"])
 def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
                                                         doc, field, args):
     path = scene_file(tmp_path, doc)

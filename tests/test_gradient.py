@@ -15,7 +15,7 @@ import pytest
 
 from casphere import translation as tr
 from casphere.basis import basis_enumerate, to_real_basis
-from casphere.specfun import sph_harm
+from casphere.specfun import mod_sph_bessel, sph_harm
 from casphere.translation import (KIND_OUTGOING, KIND_REGULAR,
                                   _gradient_stack, axial_translation,
                                   gradient_fd_check, translation_gradient,
@@ -30,7 +30,7 @@ def _angular_series_gradient(basis, kind, kappa, dvec):
     phi = math.atan2(dvec[1], dvec[0])
     tab_mm, tab_mn = tr._build_tables(basis.l_max)
     p_max = tab_mm.p_max
-    z = tr._scaled_radial(kind, p_max + 1, kappa * dist)
+    z = mod_sph_bessel(kind, np.arange(p_max + 2), kappa * dist, scaled=True)
     y = sph_harm(np.arange(p_max + 2)[:, None],
                  np.arange(-p_max - 1, p_max + 2), theta, phi)
     glut = np.zeros((3, p_max + 1, 2 * p_max + 1), dtype=complex)

@@ -120,9 +120,8 @@ def _t_one_order(pol, l, x, eps_rel, scaled):
 
     def pair(arg):
         zi, spi = riccati_ik("i", l, arg, scaled=True)
-        zk, spk = riccati_ik("k", l, arg, scaled=True)
-        sgn = (-1.0) ** l * (2.0 / math.pi)
-        return (float(zi), float(spi)), (sgn * float(zk), sgn * float(spk))
+        ze, spe = riccati_ik("e", l, arg, scaled=True)
+        return (float(zi), float(spi)), (float(ze), float(spe))
 
     (ib, spb), (eb, epb) = pair(x)
     (is_, sps), _ = pair(math.sqrt(eps_rel) * x)
@@ -144,8 +143,8 @@ def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
 
 
 def test_diag_evaluates_each_radial_table_once(monkeypatch):
-    # three Riccati pairs (i at x_B and x_s, k at x_B), each evaluating
-    # z_l once and z_{l-1} once for its derivative
+    # three Riccati pairs (i at x_B and x_s, e at x_B), each one
+    # evaluation of z_l together with z_{l-1} for its derivative
     import casphere.specfun as specfun
     calls = []
     radial = specfun.mod_sph_bessel
@@ -156,7 +155,7 @@ def test_diag_evaluates_each_radial_table_once(monkeypatch):
 
     monkeypatch.setattr(specfun, "mod_sph_bessel", counted)
     mie_diag(basis_enumerate(3), 0.9, 2.6)
-    assert len(calls) == 6
+    assert len(calls) == 3
 
 
 # ----------------------------------------------------------- permittivity

@@ -1,8 +1,8 @@
 """Rotation operators against group identities and an independent oracle.
 
-The independent route is the matrix exponential exp(-i beta J_y) built
-from the angular-momentum ladder matrix elements, which shares nothing
-with the factorial-sum evaluation used by the package.
+The independent route is scipy's Pade matrix exponential exp(-i beta J_y)
+of the angular-momentum ladder matrix; the package diagonalizes the same
+J_y once per l instead, so the two share the matrix, not the method.
 """
 
 import math
@@ -71,6 +71,23 @@ def test_wigner_d_matches_matrix_exponential_oracle():
             want = d_matrix_expm(l, beta)
             assert np.abs(want.imag).max() < 1e-12
             assert np.abs(got - want.real).max() < 1e-12
+
+
+def test_rotations_stay_orthogonal_at_large_l_max():
+    # a factorial-sum d^l loses orthogonality (4e-10 at l = 20), so that
+    # 11 of these 36 rotations fail its real-basis check at l_max 18-20
+    dirs = np.random.default_rng(7).normal(size=(12, 3))
+    for l_max in (18, 19, 20):
+        basis = basis_enumerate(l_max)
+        for d in dirs:
+            r = rotate_block(basis, *axis_euler_angles(d), 0.0)
+            assert np.abs(r @ r.T - np.eye(basis.size)).max() < 1e-13
+
+
+def test_wigner_d_matches_the_oracle_at_high_l():
+    for l in (12, 29):
+        got = wigner_d_matrix(l, 2.3)
+        assert np.abs(got - d_matrix_expm(l, 2.3).real).max() < 1e-13
 
 
 def test_wigner_bigd_phases():

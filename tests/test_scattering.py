@@ -218,6 +218,40 @@ def test_assembly_translates_each_pair_once(monkeypatch):
     assert counts == {"value": 3}
 
 
+def three_distinct_spheres():
+    # no two share (radius, eps_rel): three Mie vectors per frequency
+    return SceneConfig(
+        spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, EPS4),
+                 SphereSpec("b", (0.0, 0.0, 3.2), 1.0,
+                            ConstantPermittivity(2.6)),
+                 SphereSpec("c", (2.9, 0.0, 1.4), 0.8, EPS4)),
+        l_max=3)
+
+
+@pytest.mark.parametrize("scene, target, calls", [
+    (two_spheres(d=4.0, l_max=4), 1, 4),
+    (three_distinct_spheres(), None, 12)],
+    ids=["pair-force-lmax4", "three-distinct-energy"])
+def test_assembly_radial_evaluations(monkeypatch, scene, target, calls):
+    # a Mie vector takes three radial tables (i at x_B and x_s, e at x_B)
+    # and a translation one (e_p with e_p' for a gradient), each table
+    # one mod_sph_bessel call over the orders and their lower neighbours
+    import casphere.scattering as scattering
+    import casphere.specfun as specfun
+    import casphere.translation as translation
+    seen = []
+    radial = specfun.mod_sph_bessel
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return radial(*args, **kwargs)
+
+    for module in (specfun, translation):
+        monkeypatch.setattr(module, "mod_sph_bessel", counted)
+    scattering._assemble(scene, 0.7, target)
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("r2, calls", [(1.0, 1), (0.7, 2)])
 def test_assembly_computes_one_mie_vector_per_distinct_sphere(
         monkeypatch, r2, calls):
@@ -473,6 +507,28 @@ def test_potential_along_path_integrates_force():
     with pytest.raises(ValueError, match="two spheres"):
         potential_along_path(replace(sc, spheres=sc.spheres[:1]), "a",
                              [[1.0, 0.0, 0.0]])
+
+
+def test_pair_path_skips_the_zero_one_sphere_rows(monkeypatch):
+    # the target-less rows of a pair are one-sphere groups, M_ii = 0, so
+    # only the pair row and its l_max - 1 cut need eigenvalues
+    import casphere.scattering as scattering
+    counts = {"eigvals": 0, "assemble": 0}
+    eigvals, assemble = np.linalg.eigvals, scattering._assemble
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+    monkeypatch.setattr(scattering, "_assemble",
+                        counted("assemble", assemble))
+    sc = replace(two_spheres(l_max=2), spectral=FAST)
+    res = potential_along_path(sc, "b", [[0.0, 0.0, 3.0], [0.0, 0.0, 4.5]])
+    assert counts["assemble"] == res.n_freq > 0
+    assert counts["eigvals"] == 2 * res.n_freq
 
 
 def off_axis_three_spheres():

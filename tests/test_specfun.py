@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from casphere.specfun import (L_HARD_CAP, RadialKind, assoc_legendre,
-                              gaunt_coefficient, gaunt_yyc, mod_sph_bessel,
-                              mod_sph_bessel_dx, riccati_ik, sph_harm,
-                              wigner_3j)
+import helpers
+from casphere import translation
+from casphere.specfun import (L_HARD_CAP, RadialKind, _value_and_dx,
+                              assoc_legendre, gaunt_coefficient, gaunt_yyc,
+                              mod_sph_bessel, mod_sph_bessel_dx, riccati_ik,
+                              sph_harm, wigner_3j)
 
 # 40-digit reference values
 I4_AT_3 = 0.12749717929736216
@@ -32,11 +34,14 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         mod_sph_bessel("i", L_HARD_CAP + 1, 1.0)
     with pytest.raises(ValueError, match="L_HARD_CAP"):
-        mod_sph_bessel("k", np.array([0, 3, L_HARD_CAP + 1]), 1.0)
+        mod_sph_bessel("e", np.array([0, 3, L_HARD_CAP + 1]), 1.0)
     with pytest.raises(ValueError):
         mod_sph_bessel("i", 2, -0.5)
     with pytest.raises(ValueError):
         mod_sph_bessel("nope", 2, 0.5)
+    # k_l is a definition in ``constants``, not a kind
+    with pytest.raises(ValueError):
+        mod_sph_bessel("k", 2, 0.5)
 
 
 # --------------------------------------------------- order arrays
@@ -45,7 +50,7 @@ def _order_cases():
     orders = (np.arange(13),)
     for x in (1e-6, 1.0, 60.0, 800.0):
         for fn in (mod_sph_bessel, mod_sph_bessel_dx, riccati_ik):
-            for kind in ("i", "k"):
+            for kind in ("i", "e"):
                 # unscaled i_l overflows at x = 800
                 for scaled in (False, True) if x < 700.0 else (True,):
                     yield pytest.param(
@@ -66,19 +71,25 @@ def test_order_array_equals_scalar_calls(call, orders):
     assert np.array_equal(got, want)
 
 
-# --------------------------------------------------------- i_l and k_l
+# --------------------------------------------------------- i_l and e_l
 
 def test_mod_sph_bessel_closed_forms():
     assert mod_sph_bessel("i", 0, 1.0) == pytest.approx(math.sinh(1.0), rel=1e-14)
-    # declared normalization: k_0(x) = (pi/2x) e^{-x}
-    assert mod_sph_bessel("k", 0, 1.0) == pytest.approx(
-        0.5 * math.pi * math.exp(-1.0), rel=1e-14)
+    # declared normalization: e_0(x) = e^{-x}/x, e_1(x) = -e^{-x}(1/x + 1/x^2)
+    assert mod_sph_bessel("e", 0, 1.0) == pytest.approx(
+        math.exp(-1.0), rel=1e-14)
+    assert mod_sph_bessel("e", 1, 2.0) == pytest.approx(
+        -math.exp(-2.0) * 0.75, rel=1e-14)
 
 
 def test_mod_sph_bessel_oracle_values():
     assert mod_sph_bessel("i", 4, 3.0) == pytest.approx(I4_AT_3, rel=1e-12)
-    e4 = (2.0 / math.pi) * mod_sph_bessel("k", 4, 3.0)
-    assert e4 == pytest.approx(E4_AT_3, rel=1e-12)
+    assert mod_sph_bessel("e", 4, 3.0) == pytest.approx(E4_AT_3, rel=1e-12)
+    # the terminating sum against scipy's K_{l+1/2}, odd and even l
+    for l in (1, 2, 7, 20):
+        for x in (0.05, 1.3, 40.0):
+            assert mod_sph_bessel("e", l, x) == pytest.approx(
+                float(helpers.mod_e(l, x)), rel=1e-12)
 
 
 def test_mod_sph_bessel_scaled_variants():
@@ -87,50 +98,54 @@ def test_mod_sph_bessel_scaled_variants():
             i_sc = mod_sph_bessel("i", l, x, scaled=True)
             assert i_sc * math.exp(x) == pytest.approx(
                 mod_sph_bessel("i", l, x), rel=1e-13)
-            k_sc = mod_sph_bessel("k", l, x, scaled=True)
-            assert k_sc * math.exp(-x) == pytest.approx(
-                mod_sph_bessel("k", l, x), rel=1e-13)
+            e_sc = mod_sph_bessel("e", l, x, scaled=True)
+            assert e_sc * math.exp(-x) == pytest.approx(
+                mod_sph_bessel("e", l, x), rel=1e-13)
 
 
 def test_mod_sph_bessel_overflow_signaled():
     with pytest.raises(OverflowError):
         mod_sph_bessel("i", 1, 800.0)
     assert np.isfinite(mod_sph_bessel("i", 1, 800.0, scaled=True))
-    assert np.isfinite(mod_sph_bessel("k", 1, 800.0, scaled=True))
+    assert np.isfinite(mod_sph_bessel("e", 1, 800.0, scaled=True))
 
 
 def test_modified_wronskian():
-    # i_l k'_l - i'_l k_l = -pi/(2x^2) under the declared k normalization;
-    # equivalently i_l e'_l - i'_l e_l = (-1)^{l+1}/x^2 for e_l = (-1)^l (2/pi) k_l
+    # i_l e'_l - i'_l e_l = (-1)^{l+1}/x^2 under the declared normalization
     for l in (0, 1, 6, 20):
         for x in (0.02, 0.9, 12.0, 80.0):
             i = mod_sph_bessel("i", l, x, scaled=True)
             ip = mod_sph_bessel_dx("i", l, x, scaled=True)
-            k = mod_sph_bessel("k", l, x, scaled=True)
-            kp = mod_sph_bessel_dx("k", l, x, scaled=True)
-            w = i * kp - ip * k          # e^{+-x} scalings cancel
-            assert w == pytest.approx(-0.5 * math.pi / x**2, rel=1e-10)
-            sgn = (-1.0) ** l * (2.0 / math.pi)
-            w_e = i * (sgn * kp) - ip * (sgn * k)
-            assert w_e == pytest.approx((-1.0) ** (l + 1) / x**2, rel=1e-10)
+            e = mod_sph_bessel("e", l, x, scaled=True)
+            ep = mod_sph_bessel_dx("e", l, x, scaled=True)
+            w = i * ep - ip * e          # e^{+-x} scalings cancel
+            assert w == pytest.approx((-1.0) ** (l + 1) / x**2, rel=1e-10)
 
 
 def test_modified_recurrences():
-    # i_{l-1} - i_{l+1} = (2l+1)/x i_l and k_{l-1} - k_{l+1} = -(2l+1)/x k_l
-    for l in (1, 3, 9):
-        for x in (0.1, 2.2, 30.0):
-            lhs = mod_sph_bessel("i", l - 1, x, scaled=True) \
-                - mod_sph_bessel("i", l + 1, x, scaled=True)
-            rhs = (2 * l + 1) / x * mod_sph_bessel("i", l, x, scaled=True)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-            lhs = mod_sph_bessel("k", l - 1, x, scaled=True) \
-                - mod_sph_bessel("k", l + 1, x, scaled=True)
-            rhs = -(2 * l + 1) / x * mod_sph_bessel("k", l, x, scaled=True)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+    # i_l and e_l share z_{l-1} - z_{l+1} = (2l+1)/x z_l
+    for kind in ("i", "e"):
+        for l in (1, 3, 9):
+            for x in (0.1, 2.2, 30.0):
+                lhs = mod_sph_bessel(kind, l - 1, x, scaled=True) \
+                    - mod_sph_bessel(kind, l + 1, x, scaled=True)
+                rhs = (2 * l + 1) / x * mod_sph_bessel(kind, l, x, scaled=True)
+                assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_derivatives_match_the_scipy_oracle():
+    for kind, oracle in (("i", helpers.mod_i), ("e", helpers.mod_e)):
+        for l in (0, 1, 4, 11):
+            for x in (0.3, 2.5, 25.0):
+                z, dz = _value_and_dx(kind, l, x, False)
+                assert z == pytest.approx(float(oracle(l, x)), rel=1e-12)
+                h = 1e-5 * x
+                fd = (oracle(l, x + h) - oracle(l, x - h)) / (2.0 * h)
+                assert dz == pytest.approx(float(fd), rel=1e-7)
 
 
 def test_riccati_pair_matches_product_rule():
-    for kind in ("i", "k"):
+    for kind in ("i", "e"):
         for l in (1, 4):
             z, sp = riccati_ik(kind, l, 1.7)
             dz = mod_sph_bessel_dx(kind, l, 1.7)
@@ -138,9 +153,30 @@ def test_riccati_pair_matches_product_rule():
             assert sp == pytest.approx(z + 1.7 * dz, rel=1e-14)
 
 
+def test_value_and_dx_evaluates_the_radial_table_once(monkeypatch):
+    # z_l and the lower neighbours z_{l-1} come from one call
+    import casphere.specfun as specfun
+    calls = []
+    radial = specfun.mod_sph_bessel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return radial(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "mod_sph_bessel", counted)
+    for kind in ("i", "e"):
+        riccati_ik(kind, np.arange(1, 5), 0.7, scaled=True)
+        mod_sph_bessel_dx(kind, 3, 2.0)
+    assert len(calls) == 4
+
+
 def test_radial_kind_enum_round_trip():
     assert RadialKind("i") is RadialKind.REGULAR
-    assert RadialKind("k") is RadialKind.DECAYING
+    assert RadialKind("e") is RadialKind.OUTGOING
+    assert {k.value for k in RadialKind} == {"i", "e"}
+    # translations take the kind itself
+    assert translation.KIND_OUTGOING is RadialKind.OUTGOING
+    assert translation.KIND_REGULAR is RadialKind.REGULAR
 
 
 # ---------------------------------------------------- associated Legendre

@@ -96,6 +96,8 @@ def test_invalid_arguments_raise():
     with pytest.raises(ValueError):
         axial_translation(basis, "incoming", KAPPA, 2.0)
     with pytest.raises(ValueError):
+        axial_translation(basis, "k", KAPPA, 2.0)
+    with pytest.raises(ValueError):
         axial_translation(basis, KIND_OUTGOING, -1.0, 2.0)
 
 
