@@ -11,7 +11,7 @@ and a quadrature or Matsubara sum over frequency (``spectral``).
 spheres; ``cli`` exposes scenes, sweeps and CSV output.
 """
 
-from .basis import BasisSpec, basis_enumerate
+from .basis import BasisSpec
 from .largen import (DEFAULT_A_BAR, CrosscheckReport, LargeNParams,
                      LargeNResult, largen_asymptotic, largen_crosscheck,
                      largen_potential_integral, ring_scene)
@@ -41,7 +41,6 @@ __all__ = [
     "three_body_energy", "three_body_force",
     "SpectralSettings", "integrate_zero_t", "matsubara_sum",
     "zero_frequency_limit",
-    "BasisSpec", "basis_enumerate", "translation_gradient",
-    "translation_matrix",
+    "BasisSpec", "translation_gradient", "translation_matrix",
     "__version__",
 ]

@@ -67,11 +67,6 @@ class BasisSpec:
                 for l in range(1, self.l_max + 1) for m in range(-l, l + 1)]
 
 
-def basis_enumerate(l_max):
-    """Basis specification for truncation l_max (D = 2 l_max (l_max+2))."""
-    return BasisSpec(l_max)
-
-
 @lru_cache(maxsize=None)
 def _scalar_combination_matrix(l_max):
     """Unitary mapping complex-m to real-m labels for one polarization."""
@@ -101,19 +96,19 @@ def real_combination_matrix(l_max):
     return c
 
 
-def to_real_basis(block, l_max, atol=1e-10):
+def to_real_basis(block, l_max):
     """Transform a complex-m basis operator to the real-m basis.
 
     The result must be real at imaginary frequency; a residual imaginary
-    part above ``atol`` (relative to the matrix scale) signals a
-    convention bug and raises.
+    part above 1e-10 of the matrix scale signals a convention bug and
+    raises.
     """
     c = (real_combination_matrix(l_max) if block.shape[0] == 2 * l_max * (l_max + 2)
          else _scalar_combination_matrix(l_max))
     out = c.conj() @ block @ c.T
     scale = max(np.max(np.abs(out)), 1.0)
     worst = np.max(np.abs(out.imag))
-    if worst > atol * scale:
+    if worst > 1e-10 * scale:
         raise ValueError(
             f"operator not real in the real-m basis (residual {worst:.3e} "
             f"vs scale {scale:.3e}); convention inconsistency")

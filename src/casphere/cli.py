@@ -346,8 +346,12 @@ def run_force(args):
 
 
 def run_potential(args):
+    sweep = parse_sweep(args.sweep)
+    if sweep.label != args.target:
+        raise ValueError(f"potential moves the target: --sweep label "
+                         f"{sweep.label!r} is not --target {args.target!r}")
     scene = _apply_overrides(load_scene(args.scene), args)
-    points = sweep_scenes(scene, parse_sweep(args.sweep))
+    points = sweep_scenes(scene, sweep)
     positions = [sc.spheres[sc.index_of(args.target)].center_array
                  for _, sc in points]
     res = potential_along_path(scene, args.target, positions)
@@ -427,7 +431,7 @@ def run_large_n(args):
 
 
 def _selfcheck_rows():
-    from .basis import basis_enumerate
+    from .basis import BasisSpec
     from .rotation import rotate_block
     from .specfun import mod_sph_bessel, mod_sph_bessel_dx
     from .translation import (KIND_OUTGOING, gradient_fd_check,
@@ -448,13 +452,12 @@ def _selfcheck_rows():
                                   / np.abs(want)))
     add("radial Wronskian", worst, 1e-11)
 
-    basis = basis_enumerate(2)
+    basis = BasisSpec(2)
     rng = np.random.default_rng(12345)
     d = rng.normal(size=3)
-    blk_a = translation_matrix(basis, KIND_OUTGOING, 0.9, d)
-    blk_b = translation_matrix_direct(basis, KIND_OUTGOING, 0.9, d)
-    add("translation dual route",
-        float(np.abs(blk_a.matrix - blk_b.matrix).max()), 1e-11)
+    a = translation_matrix(basis, KIND_OUTGOING, 0.9, d)
+    b = translation_matrix_direct(basis, KIND_OUTGOING, 0.9, d)
+    add("translation dual route", float(np.abs(a - b).max()), 1e-11)
     add("translation gradient vs finite differences",
         gradient_fd_check(basis, 0.9, d), 1e-8)
 
@@ -534,7 +537,7 @@ def build_parser():
 
     p = sub.add_parser("potential",
                        help="interaction energy of the target, relative "
-                            "to infinity, at each sweep point")
+                            "to infinity, along a --sweep of the target")
     _add_common(p, sweep_required=True)
     p.set_defaults(func=run_potential)
 

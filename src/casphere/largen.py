@@ -15,7 +15,7 @@ decay stripped: the l = l' = 1 scalar axial coefficient is
 beta(x) = (e^{-x}/x)(3 + 6/x + 6/x^2), and Q(x) = x^3 e^{x} beta(x) =
 3 x^2 + 6 x + 6 folds in the x^3 frequency growth of alpha.  Its
 coefficients are frozen here and re-derivable from the translation
-tables (``derive_a_bar``).
+tables (``derive_a_bar``), and the integral always uses them.
 
 The Stirling form keeps only the dominant N-dependence,
 
@@ -73,26 +73,22 @@ class LargeNResult:
     """Magnitude of the potential in hbar c / L0, sign kept as metadata.
 
     parity is (-1)^N; the absolute orientation of the alternating sign
-    is not resolved here, so value = sign_hint * parity * magnitude
-    only once a caller chooses sign_hint.
+    is not resolved here, so the potential is +-parity * magnitude with
+    the overall sign left to the caller.
     """
     log_magnitude: float
     parity: int
     n: int
-    method: str
 
     @property
     def magnitude(self):
         return math.exp(self.log_magnitude)
 
-    def signed(self, sign_hint=1.0):
-        return sign_hint * self.parity * self.magnitude
 
-
-def derive_a_bar(n_check=4):
+def derive_a_bar():
     """Recover DEFAULT_A_BAR from the scalar axial translation series.
 
-    Evaluates e^{x} x^3 beta_{(1,0),(1,0)}(x) at a few x and solves for
+    Evaluates e^{x} x^3 beta_{(1,0),(1,0)}(x) at four x and solves for
     the quadratic coefficients; the fit must be exact (residual at
     rounding level) because the function is that polynomial.
     """
@@ -106,7 +102,7 @@ def derive_a_bar(n_check=4):
                     * sph_harm(p, 0, 0.0, 0.0).real)
         return tot * x ** 3 * math.exp(x)
 
-    xs = np.linspace(1.5, 4.5, n_check)
+    xs = np.linspace(1.5, 4.5, 4)
     vand = np.vander(xs, 3)
     coef, *_ = np.linalg.lstsq(vand, [q_of(x) for x in xs], rcond=None)
     resid = np.abs(vand @ coef - [q_of(x) for x in xs]).max()
@@ -115,8 +111,8 @@ def derive_a_bar(n_check=4):
     return tuple(float(c) for c in coef)
 
 
-def largen_potential_integral(params: LargeNParams, a_bar=DEFAULT_A_BAR):
-    """Ring-diagram integral, evaluated in the log domain.
+def largen_potential_integral(params: LargeNParams):
+    """Ring-diagram integral with the DEFAULT_A_BAR hop, in the log domain.
 
     Gauss-Laguerre is exact here: e^{-X} times the polynomial
     F(X)^N of degree 2N needs only n >= N + 1 nodes.
@@ -126,13 +122,12 @@ def largen_potential_integral(params: LargeNParams, a_bar=DEFAULT_A_BAR):
         raise ValueError(f"n = {n} is above 353, past which the rule's "
                          "weights are NaN; use --method asymptotic")
     if params.alpha_s == 0.0:
-        return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n,
-                            n=n, method="integral")
-    nodes, weights = roots_laguerre(max(40, n + 10))
+        return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n, n=n)
     hop_scale = abs(params.alpha_s) * (params.radius / params.separation) ** 3
-    f = hop_scale * np.polyval(a_bar, nodes / n)
-    if np.any(f <= 0.0):
-        raise ValueError("hop polynomial must stay positive on the axis")
+    if hop_scale == 0.0:
+        raise ValueError("alpha_s (R/s)^3 underflows; use --method asymptotic")
+    nodes, weights = roots_laguerre(max(40, n + 10))
+    f = hop_scale * np.polyval(DEFAULT_A_BAR, nodes / n)
     # logsumexp of ln(w_i) + N ln f_i, then the (N-1)!/(N s) prefactor;
     # from N = 200 the far weights underflow to 0 and get ln w = -inf
     log_w = np.log(weights, out=np.full_like(weights, -np.inf),
@@ -141,8 +136,7 @@ def largen_potential_integral(params: LargeNParams, a_bar=DEFAULT_A_BAR):
     top = logs.max()
     log_int = top + math.log(np.sum(np.exp(logs - top)))
     log_mag = (math.lgamma(n) - math.log(n * params.separation) + log_int)
-    return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n,
-                        n=n, method="integral")
+    return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n, n=n)
 
 
 def largen_asymptotic(params: LargeNParams):
@@ -151,14 +145,12 @@ def largen_asymptotic(params: LargeNParams):
     if n < 3:
         raise ValueError("the Stirling form needs N >= 3")
     if params.alpha_s == 0.0:
-        return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n,
-                            n=n, method="asymptotic")
+        return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n, n=n)
     log_mag = (-n - 3.0 * math.log(n)
                + n * math.log(abs(params.coupling))
                + 3.0 * n * math.log(params.radius)
                - (1.0 + 3.0 * n) * math.log(params.separation))
-    return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n,
-                        n=n, method="asymptotic")
+    return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n, n=n)
 
 
 # ------------------------------------------------------------ crosscheck

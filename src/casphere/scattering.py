@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisSpec, basis_enumerate
+from .basis import BasisSpec
 from .constants import C_LIGHT, HBAR_C, matsubara_scale
 from .mie import ConstantPermittivity, PermittivityModel, mie_diag
 from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
@@ -92,7 +92,7 @@ class SceneConfig:
         labels = [s.label for s in self.spheres]
         if len(set(labels)) != len(labels):
             raise ValueError("sphere labels must be unique")
-        basis_enumerate(self.l_max)   # BasisSpec checks l_max
+        BasisSpec(self.l_max)   # checks l_max
         if not 0.0 <= self.temperature_kelvin < math.inf:
             raise ValueError("temperature_kelvin must be finite and >= 0")
         if not 0.0 <= self.length_unit_m < math.inf:
@@ -116,7 +116,7 @@ class SceneConfig:
 
     @property
     def basis(self):
-        return basis_enumerate(self.l_max)
+        return BasisSpec(self.l_max)
 
     @property
     def frequency_unit(self):
@@ -249,14 +249,14 @@ def _assemble(scene: SceneConfig, xi, target=None):
         cols = lbal * math.exp(-kappa * (float(np.linalg.norm(d))
                                          - si.radius - sj.radius))
         if target in (i, j):
-            a, grad, _ = _gradient_stack(basis, KIND_OUTGOING, kappa, d)
+            a, grad = _gradient_stack(basis, KIND_OUTGOING, kappa, d)
             # d(r_i - r_j) is +dr_i and -dr_j
             if target == j:
                 grad = -grad
             dm[:, bi, bj] = rows[i] * grad * cols
             dm[:, bj, bi] = rows[j] * (pp * grad) * cols
         else:
-            a = translation_matrix(basis, KIND_OUTGOING, kappa, d).matrix
+            a = translation_matrix(basis, KIND_OUTGOING, kappa, d)
         m[bi, bj] = rows[i] * a * cols
         m[bj, bi] = rows[j] * (pp * a) * cols
     return m, dm
@@ -343,28 +343,21 @@ def _scattering_events(k, name):
     return int(k)
 
 
-def energy_integrand_fixed(scene: SceneConfig, xi, k):
-    """-tr[M^k] / (2 pi k): the k-scattering-event energy integrand."""
-    k = _scattering_events(k, "k")
-    return float(_energy_rows(scene, xi, k, [None])[0])
-
-
 # ------------------------------------------------------------------ force
 
 def _force_args(scene: SceneConfig, target, order):
-    """(target index, k): k is None for "resummed", else from "fixed(k)"
-    or "fixed:k".  Raises on a bad argument before any evaluation."""
+    """(target index, k): k is None for "resummed", else from "fixed(k)".
+    Raises on a bad argument before any evaluation."""
     if len(scene.spheres) < 2:
         raise ValueError("force needs at least two spheres")
     t = scene.index_of(target)
     if order == "resummed":
         return t, None
-    match = re.fullmatch(r"fixed(?:\((\d+)\)|:(\d+))", str(order))
+    match = re.fullmatch(r"fixed\((\d+)\)", str(order))
     if match is None:
         raise ValueError(
             f"unknown order {order!r}; use 'resummed' or 'fixed(k)'")
-    return t, _scattering_events(int(match.group(1) or match.group(2)),
-                                 f"order {order!r}: k")
+    return t, _scattering_events(int(match[1]), f"order {order!r}: k")
 
 
 def _force_rows(scene: SceneConfig, t, xi, k, subsets):
@@ -469,7 +462,11 @@ def casimir_force(scene: SceneConfig, target, order="resummed",
 
 
 def interaction_energy(scene: SceneConfig, *, fixed_k=None):
-    """(energy, error, n_freq) in hbar c / L0; ln-det route."""
+    """(energy, error, n_freq) in hbar c / L0; ln-det route.  The error
+    is the quadrature estimate only: unlike ``casimir_force`` and
+    ``potential_along_path`` it has no |E(l_max) - E(l_max - 1)| term."""
+    if len(scene.spheres) < 2:
+        raise ValueError("interaction energy needs at least two spheres")
     k = None if fixed_k is None else _scattering_events(fixed_k, "fixed_k")
     val, err, n_freq = _spectral_value(
         scene, lambda xi: _energy_rows(scene, xi, k, [None]))

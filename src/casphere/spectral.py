@@ -12,9 +12,9 @@ At finite temperature the integral becomes the Matsubara sum
     2 pi T~ [ f(0+)/2 + sum_{n>=1} f(xi_n) ],   xi_n = 2 pi n T~
 
 with T~ the reduced temperature (see ``constants.matsubara_scale``).
-The n = 0 term uses a Richardson extrapolation of f toward xi = 0+
-because integrands are often written in forms that are 0/0 at exactly
-zero frequency.
+The n = 0 term is always a Richardson extrapolation of f toward
+xi = 0+ (``zero_frequency_limit``), because integrands are often written
+in forms that are 0/0 at exactly zero frequency.
 
 Integrands may return scalars or ndarrays (e.g. force vectors); errors
 are reported with the same shape.
@@ -100,24 +100,20 @@ def zero_frequency_limit(f, xi_eps=1e-3):
     return r2, np.abs(r2 - r1)
 
 
-def matsubara_sum(f, temperature, settings: SpectralSettings = SpectralSettings(),
-                  f_zero=None):
+def matsubara_sum(f, temperature,
+                  settings: SpectralSettings = SpectralSettings()):
     """(value, error, n_used) for 2 pi T~ [f(0+)/2 + sum f(xi_n)].
 
-    Stops once two consecutive terms fall below matsubara_tail_tol
-    relative to the running total, then adds a geometric tail bound to
-    the error.  f_zero overrides the extrapolated f(0+) when the caller
-    knows it analytically.
+    f(0+) is ``zero_frequency_limit`` at settings.xi_eps, and half its
+    extrapolation error enters the error.  Stops once two consecutive
+    terms fall below matsubara_tail_tol relative to the running total,
+    then adds a geometric tail bound to the error.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive for a Matsubara sum")
     step = 2.0 * math.pi * temperature
-    if f_zero is None:
-        f_zero, zero_err = zero_frequency_limit(f, settings.xi_eps)
-    else:
-        f_zero = np.asarray(f_zero, dtype=float)
-        zero_err = np.zeros_like(f_zero)
-    total = 0.5 * np.asarray(f_zero, dtype=float)
+    f_zero, zero_err = zero_frequency_limit(f, settings.xi_eps)
+    total = 0.5 * f_zero
     prev_mag = None
     tail = 0.0
     n = 0

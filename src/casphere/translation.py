@@ -30,9 +30,9 @@ differences anywhere.
 
 The kind of a translation is a ``specfun.RadialKind``: ``KIND_OUTGOING``
 (e_p) or ``KIND_REGULAR`` (i_p).  Scaling: the series reads the scaled
-tables e_p(x) e^{+x} and i_p(x) e^{-x}, so operators come back as a
-mantissa with the factor e^{exponent} removed and the exponent beside
-it, -kappa|d| (outgoing) or +kappa|d| (regular).
+tables e_p(x) e^{+x} and i_p(x) e^{-x}, so every operator and gradient
+comes back as a plain real array with the factor e^{-kappa|d|}
+(outgoing) or e^{+kappa|d|} (regular) removed; callers apply it.
 
 Public matrices are in the real-m basis (real entries).  The production
 ``translation_matrix`` composes the axial operator with rotations; the
@@ -276,38 +276,29 @@ def _generators(l_max):
 
 # -------------------------------------------------------------- public API
 
-@dataclass
-class TranslationBlock:
-    """Real-m basis translation operator as mantissa * e^{exponent}."""
-
-    matrix: np.ndarray
-    exponent: float
-
-
-def _exponent(kind, kappa, dist):
-    """-kappa dist (outgoing) or +kappa dist (regular), arguments checked."""
+def _check(kind, kappa, dist):
+    """Raise ValueError unless kind is a RadialKind and kappa, dist > 0."""
     if kappa <= 0.0 or dist <= 0.0:
         raise ValueError("kappa and |displacement| must be positive")
-    return -kappa * dist if RadialKind(kind) is KIND_OUTGOING else kappa * dist
+    RadialKind(kind)
 
 
 def translation_matrix_direct(basis: BasisSpec, kind, kappa, displacement):
     """Translation operator from the angular series at general d^."""
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    exponent = _exponent(kind, kappa, dist)
+    _check(kind, kappa, dist)
     phi, theta = axis_euler_angles(d)
-    return TranslationBlock(_series(basis, kind, kappa * dist, theta, phi),
-                            exponent)
+    return _series(basis, kind, kappa * dist, theta, phi)
 
 
 def axial_translation(basis: BasisSpec, kind, kappa, distance):
     """Translation operator for displacement d = distance * z^."""
     dist = float(distance)
-    exponent = _exponent(kind, kappa, dist)
+    _check(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
-    z = mod_sph_bessel(kind, np.arange(w.shape[-1]), kappa * dist, scaled=True)
-    return TranslationBlock(w @ z, exponent)
+    return w @ mod_sph_bessel(kind, np.arange(w.shape[-1]), kappa * dist,
+                              scaled=True)
 
 
 def _turn(basis, d, ax):
@@ -325,13 +316,13 @@ def translation_matrix(basis: BasisSpec, kind, kappa, displacement):
     """Translation operator, composed as rotation * axial * rotation^T."""
     d = np.asarray(displacement, dtype=float)
     ax = axial_translation(basis, kind, kappa, float(np.linalg.norm(d)))
-    return TranslationBlock(_turn(basis, d, ax.matrix)[0], ax.exponent)
+    return _turn(basis, d, ax)[0]
 
 
 def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
-    """(value, grad, exponent): the operator (D, D) and its Cartesian
-    gradient (3, D, D), each times e^{exponent}, from one Z_p, Z_p'
-    table and one rotation; value is ``translation_matrix``'s, bit for bit.
+    """(value, grad): the operator (D, D) and its Cartesian gradient
+    (3, D, D) from one Z_p, Z_p' table and one rotation; value is
+    ``translation_matrix``'s, bit for bit.
 
     At d = |d| z^ a transverse shift rotates the axial operator A, so
     d_x A = [G_y, A] / |d| and d_y A = [A, G_x] / |d|, while d_z A is
@@ -340,7 +331,7 @@ def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
     """
     d = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(d))
-    exponent = _exponent(kind, kappa, dist)
+    _check(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
     z, dz = _value_and_dx(kind, np.arange(w.shape[-1]), kappa * dist, True)
     ax = w @ z
@@ -353,36 +344,37 @@ def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
     cart = np.array([[ca * cb, -sa, ca * sb], [sa * cb, ca, sa * sb],
                      [-sb, 0.0, cb]])
     grad = np.einsum("ab,bij->aij", cart, rot @ axial @ rot.T)
-    return value, grad, exponent
+    return value, grad
 
 
 def translation_gradient(basis: BasisSpec, kind, kappa, displacement):
-    """Cartesian gradient d/dd of the translation operator.
-
-    Returns one TranslationBlock per axis, sharing the value operator's
-    exponent (full gradient component = matrix * e^{exponent}).
-    """
-    _, grad, exponent = _gradient_stack(basis, kind, kappa, displacement)
-    return tuple(TranslationBlock(g, exponent) for g in grad)
+    """Cartesian gradient d/dd of the translation operator, (3, D, D),
+    without the same e^{-+kappa|d|} as the value."""
+    return _gradient_stack(basis, kind, kappa, displacement)[1]
 
 
 def gradient_fd_check(basis: BasisSpec, kappa, displacement,
-                      kind=KIND_OUTGOING, step=1e-4):
+                      kind=KIND_OUTGOING):
     """Max relative deviation of the analytic gradient from Richardson
-    finite differences of the value operator.
+    finite differences of the value operator, step 1e-4 (1 + |d|).
 
     The routes share the axial operator and the rotations, not the
     derivatives: rotation generators and Z_p' on one side, values at
     six nearby displacements on the other.
     """
     d = np.asarray(displacement, dtype=float)
-    _, grad, expo = _gradient_stack(basis, kind, kappa, d)
+    grad = _gradient_stack(basis, kind, kappa, d)[1]
+
+    def exponent(dv):
+        """ln of the factor e^{-+kappa|dv|} the operators come without."""
+        x = kappa * float(np.linalg.norm(dv))
+        return -x if RadialKind(kind) is KIND_OUTGOING else x
 
     def full(dv):
-        blk = translation_matrix(basis, kind, kappa, dv)
-        return blk.matrix * math.exp(blk.exponent - expo)
+        return (translation_matrix(basis, kind, kappa, dv)
+                * math.exp(exponent(dv) - exponent(d)))
 
-    h = step * (1.0 + float(np.linalg.norm(d)))
+    h = 1e-4 * (1.0 + float(np.linalg.norm(d)))
     scale = float(np.abs(grad).max())
     worst = 0.0
     for a in range(3):

@@ -22,7 +22,7 @@ from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  three_body_energy, three_body_force)
 from casphere.spectral import SpectralSettings, integrate_zero_t
 from casphere.translation import gradient_fd_check
-from casphere.basis import basis_enumerate
+from casphere.basis import BasisSpec
 
 _POOL = ThreadPoolExecutor(max_workers=8)
 MAP = _POOL.map
@@ -228,7 +228,7 @@ def test_criterion_8_gradient_audit():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         d = float(rng.uniform(1.5, 4.0)) * direction
-        worst = max(worst, gradient_fd_check(basis_enumerate(l_max),
+        worst = max(worst, gradient_fd_check(BasisSpec(l_max),
                                              kappa, d))
     ok = worst <= 1e-8
     line = verdict(8, "gradient audit", ok,

@@ -228,6 +228,19 @@ def test_potential_requires_sweep(tmp_path):
     assert exc.value.code == 2
 
 
+def test_potential_sweep_must_move_the_target(tmp_path, capsys):
+    # the potential of b along a path of a would be V(b) at b's fixed
+    # center on every row
+    path = scene_file(tmp_path, scene_doc(l_max=2, d=4.0))
+    out = tmp_path / "pot.csv"
+    code = main(["potential", "--scene", path, "--target", "b",
+                 "--sweep", "a:z:-2:0:3", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "'a'" in err and "'b'" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ CSV output
 
 def read_csv(path):

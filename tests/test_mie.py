@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from casphere.basis import POL_TE, POL_TM, basis_enumerate
+from casphere.basis import POL_TE, POL_TM, BasisSpec
 from casphere.mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                           TabulatedPermittivity, mie_coefficient, mie_diag)
 from casphere.specfun import riccati_ik
@@ -102,7 +102,7 @@ def test_scaled_consistency_and_overflow():
 
 
 def test_diag_is_m_degenerate():
-    basis = basis_enumerate(2)
+    basis = BasisSpec(2)
     diag = mie_diag(basis, 0.9, 2.6)
     assert diag.shape == (basis.size,)
     for pol in (POL_TE, POL_TM):
@@ -136,7 +136,7 @@ def _t_one_order(pol, l, x, eps_rel, scaled):
     (4, 0.9, 2.6, False), (4, 0.05, 80.0, True), (5, 3.3, 0.5, False),
     (3, 1.3, 1.0, False), (6, 400.0, 2.6, True)])
 def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
-    basis = basis_enumerate(l_max)
+    basis = BasisSpec(l_max)
     want = np.array([_t_one_order(pol, l, x, eps, scaled)
                      for pol, l, _ in basis.labels()])
     assert np.array_equal(mie_diag(basis, x, eps, scaled=scaled), want)
@@ -154,7 +154,7 @@ def test_diag_evaluates_each_radial_table_once(monkeypatch):
         return radial(*args, **kwargs)
 
     monkeypatch.setattr(specfun, "mod_sph_bessel", counted)
-    mie_diag(basis_enumerate(3), 0.9, 2.6)
+    mie_diag(BasisSpec(3), 0.9, 2.6)
     assert len(calls) == 3
 
 

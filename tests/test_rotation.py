@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from casphere.basis import basis_enumerate
+from casphere.basis import BasisSpec
 from casphere.rotation import (axis_euler_angles, basis_rotation,
                                rotate_block, wigner_bigd_matrix,
                                wigner_d_matrix)
@@ -30,12 +30,12 @@ def d_matrix_expm(l, beta):
 
 def test_zero_angles_identity():
     for lm in (1, 3):
-        r = basis_rotation(basis_enumerate(lm), 0.0, 0.0, 0.0)
+        r = basis_rotation(BasisSpec(lm), 0.0, 0.0, 0.0)
         assert np.abs(r - np.eye(r.shape[0])).max() < 1e-15
 
 
 def test_composition_with_inverse_is_identity():
-    basis = basis_enumerate(3)
+    basis = BasisSpec(3)
     a, b, g = 0.63, 1.91, -2.3
     r = basis_rotation(basis, a, b, g)
     r_inv = basis_rotation(basis, -g, -b, -a)
@@ -43,7 +43,7 @@ def test_composition_with_inverse_is_identity():
 
 
 def test_unitarity():
-    basis = basis_enumerate(4)
+    basis = BasisSpec(4)
     r = rotate_block(basis, 0.4, 2.2, 1.7)
     assert np.abs(r @ r.T - np.eye(basis.size)).max() < 1e-12
     u = basis_rotation(basis, 0.4, 2.2, 1.7)
@@ -78,7 +78,7 @@ def test_rotations_stay_orthogonal_at_large_l_max():
     # 11 of these 36 rotations fail its real-basis check at l_max 18-20
     dirs = np.random.default_rng(7).normal(size=(12, 3))
     for l_max in (18, 19, 20):
-        basis = basis_enumerate(l_max)
+        basis = BasisSpec(l_max)
         for d in dirs:
             r = rotate_block(basis, *axis_euler_angles(d), 0.0)
             assert np.abs(r @ r.T - np.eye(basis.size)).max() < 1e-13
@@ -102,7 +102,7 @@ def test_wigner_bigd_phases():
 
 
 def test_rotate_block_is_block_diagonal_in_l():
-    basis = basis_enumerate(2)
+    basis = BasisSpec(2)
     r = rotate_block(basis, 0.9, 0.4, 1.3)
     labels = basis.labels()
     for i, (p1, l1, m1) in enumerate(labels):
@@ -112,7 +112,7 @@ def test_rotate_block_is_block_diagonal_in_l():
 
 
 def test_rotate_block_is_cached_and_read_only():
-    basis = basis_enumerate(2)
+    basis = BasisSpec(2)
     r1 = rotate_block(basis, 0.9, 0.4, 1.3)
     r2 = rotate_block(basis, np.float64(0.9), 0.4, 1.3)
     assert not r1.flags.writeable

@@ -124,16 +124,18 @@ def test_matsubara_requires_positive_temperature():
 
 
 def test_matsubara_f_zero_weight():
-    # the n = 0 term enters with weight 2 pi T~ / 2, exactly; cap the
-    # sum length so the adaptive stop cannot shift between the runs
+    # the n = 0 term is zero_frequency_limit's f(0+) with weight
+    # 2 pi T~ / 2; cap the sum length so the adaptive stop cannot
+    # shorten the sum
     t = 0.013
     f = lambda xi: math.exp(-3.0 * xi)
     settings = SpectralSettings(n_matsubara_max=30)
-    v0, _, n0 = matsubara_sum(f, t, settings, f_zero=1.0)
-    v1, _, n1 = matsubara_sum(f, t, settings, f_zero=1.5)
-    assert n0 == n1 == 30
+    val, _, n = matsubara_sum(f, t, settings)
+    assert n == 30
     step = 2.0 * math.pi * t
-    assert v1 - v0 == pytest.approx(step * 0.5 * 0.5, rel=1e-12)
+    f_zero, _ = zero_frequency_limit(f, settings.xi_eps)
+    want = step * (0.5 * f_zero + sum(f(step * k) for k in range(1, 31)))
+    assert val == pytest.approx(want, rel=1e-12)
 
 
 def test_matsubara_approaches_integral_at_low_temperature():
@@ -142,7 +144,7 @@ def test_matsubara_approaches_integral_at_low_temperature():
     d = 1.0
     temp = 0.05 / (2.0 * math.pi * d)
     f = lambda xi: xi * xi * math.exp(-2.0 * d * xi)
-    s_val, s_err, n = matsubara_sum(f, temp, f_zero=0.0)
+    s_val, s_err, n = matsubara_sum(f, temp)
     i_val, _ = integrate_zero_t(f, 2.0 * d)
     assert n < 2000
     assert s_val == pytest.approx(i_val, rel=5e-3)
@@ -150,7 +152,6 @@ def test_matsubara_approaches_integral_at_low_temperature():
 
 def test_matsubara_flags_unconverged_tail():
     settings = SpectralSettings(n_matsubara_max=40)
-    val, err, n = matsubara_sum(lambda xi: 1.0 / (1.0 + xi), 0.05,
-                                settings, f_zero=1.0)
+    val, err, n = matsubara_sum(lambda xi: 1.0 / (1.0 + xi), 0.05, settings)
     assert n == 40
     assert err > 0.0
