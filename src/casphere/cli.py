@@ -441,7 +441,8 @@ def _selfcheck_rows():
     def add(name, err, tol):
         rows.append((name, err, tol, "pass" if err <= tol else "FAIL"))
 
-    # Wronskian of the radial pair: i_l e_l' - e_l i_l' = (-1)^(l+1)/x^2
+    # Wronskian of the radial pair: i_l e_l' - e_l i_l' = (-1)^(l+1)/x^2;
+    # the scaled tables' e^{-x} and e^{+x} cancel in each product
     l = np.arange(6)
     worst = 0.0
     for x in (0.3, 2.0, 17.0):

@@ -88,7 +88,8 @@ class LargeNResult:
 def derive_a_bar():
     """Recover DEFAULT_A_BAR from the scalar axial translation series.
 
-    Evaluates e^{x} x^3 beta_{(1,0),(1,0)}(x) at four x and solves for
+    Evaluates e^{x} x^3 beta_{(1,0),(1,0)}(x), the e^{x} carried by the
+    scaled e_p of ``mod_sph_bessel``, at four x and solves for
     the quadratic coefficients; the fit must be exact (residual at
     rounding level) because the function is that polynomial.
     """
@@ -100,7 +101,7 @@ def derive_a_bar():
         for p, w in _beta_terms(1, 0, 1, 0):
             tot += (w * mod_sph_bessel("e", p, x)
                     * sph_harm(p, 0, 0.0, 0.0).real)
-        return tot * x ** 3 * math.exp(x)
+        return tot * x ** 3
 
     xs = np.linspace(1.5, 4.5, 4)
     vand = np.vander(xs, 3)
@@ -158,6 +159,8 @@ def largen_asymptotic(params: LargeNParams):
 def ring_scene(n, radius, separation, eps, l_max=1):
     """N spheres on a circle with neighbor center distance = separation."""
     from .scattering import SceneConfig, SphereSpec
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"ring_scene needs n >= 2 spheres, got n = {n!r}")
     circum_r = separation / (2.0 * math.sin(math.pi / n))
     spheres = []
     for i in range(n):
@@ -200,9 +203,15 @@ def largen_crosscheck(n, eps_minus_one=1e-2, radius=1.0,
     if not isinstance(n, numbers.Integral) or n < 3:
         raise ValueError(f"crosscheck needs a ring of N >= 3 spheres, "
                          f"got N = {n!r}")
+    if not (math.isfinite(eps_minus_one) and eps_minus_one != 0.0):
+        raise ValueError(f"eps_minus_one must be finite and non-zero, "
+                         f"got {eps_minus_one!r}")
+    seps = np.asarray(separations, dtype=float)
+    if np.unique(seps).size < 2:
+        raise ValueError(f"separations must hold at least two distinct "
+                         f"values to fit an exponent, got {separations!r}")
     eps = 1.0 + eps_minus_one
     alpha_s = (eps - 1.0) / (eps + 2.0)
-    seps = np.asarray(separations, dtype=float)
     ring = np.empty(seps.size)
     est = np.empty(seps.size)
     for i, s in enumerate(seps):

@@ -17,10 +17,9 @@ Both vanish identically at eps_rel = 1 and behave like x^{2l+1} for
 small x; T^TM_1 ~ -(2/3) x^3 (eps_rel - 1)/(eps_rel + 2) identifies
 -(3/2) T^TM_1 / x^3 with the normalized dipole polarizability.
 
-T_l grows like e^{2 x_B} at large argument.  ``scaled=True`` returns
-T_l e^{-2 x_B}, computed entirely from the scaled i_l e^{-x} and
-e_l e^{+x} of ``specfun`` so no intermediate overflows; the unscaled
-form raises once e^{2 x_B} itself would overflow.
+T_l grows like e^{2 x_B} at large argument, so every T here is returned
+as T_l e^{-2 x_B}, computed entirely from the scaled i_l e^{-x} and
+e_l e^{+x} of ``specfun``; no intermediate overflows at any x.
 
 The T-matrix is diagonal in (pol, l, m) with m-independent entries, in
 the complex-m and real-m bases alike.
@@ -33,8 +32,6 @@ import numpy as np
 
 from .basis import BasisSpec
 from .specfun import RadialKind, riccati_ik
-
-_EXP_LIMIT = 700.0
 
 
 # -------------------------------------------------------- permittivities
@@ -110,42 +107,32 @@ class TabulatedPermittivity(PermittivityModel):
 
 # ------------------------------------------------------- Mie coefficients
 
-def mie_coefficient(pol, l, x, eps_rel, scaled=False):
-    """T_{pol,l} for background argument x = n_B xi R > 0, one entry of
-    ``mie_diag``.
-
-    With scaled=True returns T e^{-2x}, finite for any x.
-    """
+def mie_coefficient(pol, l, x, eps_rel):
+    """T_{pol,l} e^{-2x} for background argument x = n_B xi R > 0, one
+    entry of ``mie_diag``; finite for any x."""
     basis = BasisSpec(l)
-    return float(mie_diag(basis, x, eps_rel, scaled)[basis.index(pol, l, 0)])
+    return float(mie_diag(basis, x, eps_rel)[basis.index(pol, l, 0)])
 
 
-def mie_diag(basis: BasisSpec, x, eps_rel, scaled=False):
-    """Diagonal of the T-matrix over the basis, as a vector of length D.
+def mie_diag(basis: BasisSpec, x, eps_rel):
+    """Diagonal of the T-matrix over the basis, as a vector of length D
+    with entries T e^{-2x}.
 
     The Riccati values are computed once for l = 1..l_max and shared by
-    TE and TM; with scaled=True the entries are T e^{-2x}.
+    TE and TM.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x = n_B xi R must be positive")
-    if eps_rel <= 0.0:
+    if not eps_rel > 0.0:
         raise ValueError("relative permittivity must be positive")
     if eps_rel == 1.0:
         return np.zeros(basis.size)
     l = np.arange(1, basis.l_max + 1)
     # i_l, S_l' scaled by e^{-x}; e_l, E_l' by e^{+x}
-    ib, spb = riccati_ik(RadialKind.REGULAR, l, x, scaled=True)
-    is_, sps = riccati_ik(RadialKind.REGULAR, l, math.sqrt(eps_rel) * x,
-                          scaled=True)
-    eb, epb = riccati_ik(RadialKind.OUTGOING, l, x, scaled=True)
+    ib, spb = riccati_ik(RadialKind.REGULAR, l, x)
+    is_, sps = riccati_ik(RadialKind.REGULAR, l, math.sqrt(eps_rel) * x)
+    eb, epb = riccati_ik(RadialKind.OUTGOING, l, x)
     # common scale e^{x+xs} in numerators, e^{-x+xs} in denominators
     t_te = (spb * is_ - ib * sps) / (eb * sps - epb * is_)
     t_tm = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
-    t = np.concatenate([t_te, t_tm])
-    if not scaled:
-        if 2.0 * x > _EXP_LIMIT:
-            raise OverflowError(
-                f"unscaled T_l overflows for 2 n_B xi R > {_EXP_LIMIT}; "
-                "use scaled=True")
-        t = t * math.exp(2.0 * x)
-    return np.repeat(t, np.tile(2 * l + 1, 2))
+    return np.repeat(np.concatenate([t_te, t_tm]), np.tile(2 * l + 1, 2))

@@ -69,6 +69,9 @@ class SphereSpec:
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"sphere {self.label!r}: radius must be "
                              "positive and finite")
+        if not isinstance(self.permittivity, PermittivityModel):
+            raise ValueError(f"sphere {self.label!r}: permittivity must be a "
+                             f"PermittivityModel, got {self.permittivity!r}")
 
     @property
     def center_array(self):
@@ -89,6 +92,14 @@ class SceneConfig:
         object.__setattr__(self, "spheres", tuple(self.spheres))
         if not self.spheres:
             raise ValueError("scene needs at least one sphere")
+        if not all(isinstance(s, SphereSpec) for s in self.spheres):
+            raise ValueError(f"spheres must be SphereSpec entries, "
+                             f"got {self.spheres!r}")
+        for name, kind in (("background", PermittivityModel),
+                           ("spectral", SpectralSettings)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         labels = [s.label for s in self.spheres]
         if len(set(labels)) != len(labels):
             raise ValueError("sphere labels must be unique")
@@ -204,9 +215,12 @@ class PotentialResult:
 # ------------------------------------------------------ frequency assembly
 
 def _materials(scene: SceneConfig, xi):
+    """(kappa, eps_rel per sphere) at xi; every per-xi path checks xi here."""
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be finite and positive, got {xi!r}")
     xm = xi * scene.frequency_unit
     eps_b = float(scene.background.eps_imag_freq(xm))
-    if eps_b <= 0.0:
+    if not eps_b > 0.0:
         raise ValueError("background permittivity must stay positive")
     kappa = math.sqrt(eps_b) * xi
     eps_rel = [float(s.permittivity.eps_imag_freq(xm)) / eps_b
@@ -234,7 +248,7 @@ def _assemble(scene: SceneConfig, xi, target=None):
     basis, spheres = scene.basis, scene.spheres
     kappa, eps_rel = _materials(scene, xi)
     keys = [(s.radius, e) for s, e in zip(spheres, eps_rel)]
-    mie = {k: mie_diag(basis, kappa * k[0], k[1], scaled=True)
+    mie = {k: mie_diag(basis, kappa * k[0], k[1])
            for k in dict.fromkeys(keys)}
     lbal = _l_balance_vec(basis, kappa, min(s.radius for s in spheres))
     rows = [(mie[k] / lbal)[:, None] for k in keys]
@@ -395,8 +409,6 @@ def _path_exponent(scene: SceneConfig, t, xi, k):
 
 def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
     """(3,) force integrand; F = Int_0^inf (T=0) or Matsubara-summed."""
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
     t, k = _force_args(scene, target, order)
     return _force_rows(scene, t, xi, k, [None])[0]
 

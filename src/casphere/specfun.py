@@ -2,8 +2,8 @@
 
 Bessel-family evaluations wrap scipy.special where scipy already
 implements the stable recurrence choices; this module pins the
-conventions, adds exponentially scaled variants that stay finite at
-large argument, enforces the order hard cap, and provides
+conventions, returns the radial functions exponentially scaled so they
+stay finite at any argument, enforces the order hard cap, and provides
 exact-arithmetic Wigner 3j / Gaunt coefficients.  Every order argument
 may be an integer array: one call returns a whole table of orders, each
 entry bit-identical to the scalar call.
@@ -14,7 +14,7 @@ Conventions (the radial pair of ``constants``):
         k_l(x) = sqrt(pi/(2x)) K_{l+1/2}(x)
     Both obey z_{l-1} - z_{l+1} = (2l+1)/x z_l and
     z_l' = z_{l-1} - (l+1)/x z_l (z_0' = z_1).
-    scaled variants: i_l(x) e^{-x}, e_l(x) e^{+x}
+    returned scaled: i_l(x) e^{-x}, e_l(x) e^{+x}, derivatives likewise
     Wronskian: i_l(x) e_l'(x) - i_l'(x) e_l(x) = (-1)^{l+1} / x^2
 
 Associated Legendre functions are fully normalized including the
@@ -59,11 +59,10 @@ _DFACT_ODD = np.array([float(math.prod(range(2 * l + 1, 1, -2)))
 # imaginary-axis (modified) spherical Bessel
 # ----------------------------------------------------------------------
 
-_X_OVERFLOW = 700.0   # exp(x) overflows just above this
-
-
-def mod_sph_bessel(kind, l, x, scaled=False):
-    """Modified spherical Bessel function i_l(x) or e_l(x), x >= 0.
+def mod_sph_bessel(kind, l, x):
+    """Scaled modified spherical Bessel function, x >= 0: i_l(x) e^{-x}
+    for the regular kind, e_l(x) e^{+x} for the outgoing one.  Both stay
+    representable at any x.
 
     Parameters
     ----------
@@ -71,10 +70,6 @@ def mod_sph_bessel(kind, l, x, scaled=False):
     l : int or int array
         Orders; they broadcast against x.  A scalar l and x give a float.
     x : float or array
-    scaled : bool
-        If True return i_l(x) e^{-x} (regular) or e_l(x) e^{+x}
-        (outgoing); these stay representable at large x.  The unscaled
-        regular kind raises instead of overflowing.
 
     The outgoing kind uses the exact terminating sum
     e_l(x) e^{x} = (-1)^l sum_{k=0..l} (l+k)! / (k! (l-k)! (2x)^k) / x,
@@ -98,11 +93,6 @@ def mod_sph_bessel(kind, l, x, scaled=False):
             ser = (xl / _DFACT_ODD[l]
                    * (1.0 + xs * xs / (2.0 * (2 * l + 3))) * np.exp(-xs))
             out = np.where(small, ser, out)
-        if not scaled:
-            if np.any(x > _X_OVERFLOW):
-                raise OverflowError(
-                    f"unscaled i_l overflows for x > {_X_OVERFLOW}; use scaled=True")
-            out = out * np.exp(x)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             acc = np.ones_like(x)
@@ -111,34 +101,33 @@ def mod_sph_bessel(kind, l, x, scaled=False):
                 term = term * ((l + k) * (l - k + 1) / (2.0 * k)) / x
                 acc = np.where(k <= l, acc + term, acc)
             out = np.where(l % 2, -acc, acc) / x
-        if not scaled:
-            out = out * np.exp(-x)
     if scalar:
         return float(out[0])
     return out
 
 
-def mod_sph_bessel_dx(kind, l, x, scaled=False):
-    """d/dx of i_l or e_l; with scaled=True, (i_l)' e^{-x} or (e_l)' e^{+x}.
+def mod_sph_bessel_dx(kind, l, x):
+    """Scaled derivative (i_l)'(x) e^{-x} or (e_l)'(x) e^{+x}.
 
     Both kinds share z_l' = z_{l-1} - (l+1)/x z_l for l >= 1 and
-    z_0' = z_1.  Orders broadcast as in ``mod_sph_bessel``.
+    z_0' = z_1, which the scaled functions obey with the same scale.
+    Orders broadcast as in ``mod_sph_bessel``.
     """
-    return _value_and_dx(kind, l, x, scaled)[1]
+    return _value_and_dx(kind, l, x)[1]
 
 
-def _value_and_dx(kind, l, x, scaled):
-    """(z_l, z_l') from one ``mod_sph_bessel`` call over the orders and
-    their lower neighbours; see ``mod_sph_bessel_dx``."""
+def _value_and_dx(kind, l, x):
+    """Scaled (z_l, z_l') from one ``mod_sph_bessel`` call over the
+    orders and their lower neighbours; see ``mod_sph_bessel_dx``."""
     l, x = np.broadcast_arrays(_check_l(l), np.asarray(x, dtype=float))
-    here, lower = mod_sph_bessel(kind, np.stack([l, np.abs(l - 1)]), x,
-                                 scaled=scaled)
+    here, lower = mod_sph_bessel(kind, np.stack([l, np.abs(l - 1)]), x)
     return here, np.where(l == 0, lower, lower - (l + 1) / x * here)[()]
 
 
-def riccati_ik(kind, l, x, scaled=False):
-    """Value z_l and Riccati derivative S_l'(x) = (x z_l(x))' as a pair."""
-    z, dz = _value_and_dx(kind, l, x, scaled)
+def riccati_ik(kind, l, x):
+    """Scaled value z_l and Riccati derivative S_l'(x) = (x z_l(x))' as a
+    pair, both times e^{-x} (regular) or e^{+x} (outgoing)."""
+    z, dz = _value_and_dx(kind, l, x)
     return z, z + x * dz
 
 

@@ -77,7 +77,7 @@ def integrate_zero_t(f, decay_scale,
     decay_scale sets the substitution u = decay_scale * xi; choose it
     near the true exponential decay rate of f for fast convergence.
     """
-    if decay_scale <= 0.0:
+    if not decay_scale > 0.0:
         raise ValueError("decay_scale must be positive")
     coarse = _gauss_laguerre_apply(f, decay_scale, settings.n_nodes)
     fine = _gauss_laguerre_apply(f, decay_scale,
@@ -85,8 +85,9 @@ def integrate_zero_t(f, decay_scale,
     return fine, np.abs(fine - coarse)
 
 
-def zero_frequency_limit(f, xi_eps=1e-3):
-    """(value, error) for f(0+) by Richardson extrapolation in xi.
+def zero_frequency_limit(f, xi_eps):
+    """(value, error) for f(0+) by Richardson extrapolation in xi from
+    xi_eps, in practice ``SpectralSettings.xi_eps``.
 
     Linear extrapolation from (eps, eps/2) refined once; the error is
     the difference between the two extrapolants, which also flags
@@ -109,7 +110,7 @@ def matsubara_sum(f, temperature,
     terms fall below matsubara_tail_tol relative to the running total,
     then adds a geometric tail bound to the error.
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError("temperature must be positive for a Matsubara sum")
     step = 2.0 * math.pi * temperature
     f_zero, zero_err = zero_frequency_limit(f, settings.xi_eps)

@@ -250,7 +250,7 @@ def _series(basis, kind, x, theta, phi):
     p_max = tab_mm.p_max
     # indexed [p, q + p_max]; Y_pq is 0 where |q| > p
     p = np.arange(p_max + 1)
-    lut = (mod_sph_bessel(kind, p, x, scaled=True)[:, None]
+    lut = (mod_sph_bessel(kind, p, x)[:, None]
            * sph_harm(p[:, None], np.arange(-p_max, p_max + 1), theta, phi))
     ds = basis.scalar_size
     mm = _contract(tab_mm, lut, ds, p_max)
@@ -278,7 +278,7 @@ def _generators(l_max):
 
 def _check(kind, kappa, dist):
     """Raise ValueError unless kind is a RadialKind and kappa, dist > 0."""
-    if kappa <= 0.0 or dist <= 0.0:
+    if not (kappa > 0.0 and dist > 0.0):
         raise ValueError("kappa and |displacement| must be positive")
     RadialKind(kind)
 
@@ -297,8 +297,7 @@ def axial_translation(basis: BasisSpec, kind, kappa, distance):
     dist = float(distance)
     _check(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
-    return w @ mod_sph_bessel(kind, np.arange(w.shape[-1]), kappa * dist,
-                              scaled=True)
+    return w @ mod_sph_bessel(kind, np.arange(w.shape[-1]), kappa * dist)
 
 
 def _turn(basis, d, ax):
@@ -333,7 +332,7 @@ def _gradient_stack(basis: BasisSpec, kind, kappa, displacement):
     dist = float(np.linalg.norm(d))
     _check(kind, kappa, dist)
     w = _axial_weights(basis.l_max)
-    z, dz = _value_and_dx(kind, np.arange(w.shape[-1]), kappa * dist, True)
+    z, dz = _value_and_dx(kind, np.arange(w.shape[-1]), kappa * dist)
     ax = w @ z
     g_x, g_y = _generators(basis.l_max)
     axial = np.stack([(g_y @ ax - ax @ g_y) / dist,

@@ -29,7 +29,7 @@ def _angular_series_gradient(basis, kind, kappa, dvec):
     phi = math.atan2(dvec[1], dvec[0])
     tab_mm, tab_mn = tr._build_tables(basis.l_max)
     p_max = tab_mm.p_max
-    z = mod_sph_bessel(kind, np.arange(p_max + 2), kappa * dist, scaled=True)
+    z = mod_sph_bessel(kind, np.arange(p_max + 2), kappa * dist)
     y = sph_harm(np.arange(p_max + 2)[:, None],
                  np.arange(-p_max - 1, p_max + 2), theta, phi)
     glut = np.zeros((3, p_max + 1, 2 * p_max + 1), dtype=complex)

@@ -34,6 +34,19 @@ def test_parameter_validation():
     for bad in (2, 3.5):
         with pytest.raises(ValueError, match="N >= 3"):
             largen_crosscheck(bad)
+    # a slope needs two distinct separations; zero contrast has no
+    # ring energy to take the log of
+    for kwargs, names in (({"separations": (10.0,)}, "separations"),
+                          ({"separations": (10.0, 10.0)}, "separations"),
+                          ({"eps_minus_one": 0.0}, "eps_minus_one"),
+                          ({"eps_minus_one": math.nan}, "eps_minus_one"),
+                          ({"eps_minus_one": math.inf}, "eps_minus_one")):
+        with pytest.raises(ValueError, match=names):
+            largen_crosscheck(3, **kwargs)
+    # one sphere has no neighbour: sin(pi / 1) = 0 sends it to x ~ 1e16
+    for bad in (1, 0, 2.5):
+        with pytest.raises(ValueError, match="n >= 2"):
+            ring_scene(bad, 0.4, 3.0, 2.6)
 
 
 @pytest.mark.parametrize("field, value", [

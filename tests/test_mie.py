@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from casphere.basis import POL_TE, POL_TM, BasisSpec
 from casphere.mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                           TabulatedPermittivity, mie_coefficient, mie_diag)
@@ -26,9 +27,10 @@ ANCHORS = [
 
 
 def test_frozen_anchors():
+    # the anchors are T; mie_coefficient returns T e^{-2x}
     for pol, l, x, eps, want in ANCHORS:
         assert mie_coefficient(pol, l, x, eps) == pytest.approx(
-            want, rel=5e-12)
+            want * math.exp(-2.0 * x), rel=5e-12)
 
 
 def test_no_contrast_scatters_nothing():
@@ -53,8 +55,8 @@ def test_tm_dipole_limit():
     x = 1e-3
     for eps in (1.5, 2.6, 9.0):
         want = -(2.0 / 3.0) * x ** 3 * (eps - 1.0) / (eps + 2.0)
-        assert mie_coefficient(POL_TM, 1, x, eps) == pytest.approx(
-            want, rel=1e-5)
+        t = mie_coefficient(POL_TM, 1, x, eps) * math.exp(2.0 * x)
+        assert t == pytest.approx(want, rel=1e-5, abs=0.0)
 
 
 def test_te_dipole_limit():
@@ -62,16 +64,16 @@ def test_te_dipole_limit():
     x = 1e-2
     for eps in (1.5, 2.6):
         want = (eps - 1.0) * x ** 5 / 45.0
-        assert mie_coefficient(POL_TE, 1, x, eps) == pytest.approx(
-            want, rel=1e-4)
+        t = mie_coefficient(POL_TE, 1, x, eps) * math.exp(2.0 * x)
+        assert t == pytest.approx(want, rel=1e-4, abs=0.0)
 
 
 def test_small_x_powers():
     # log-log slope between x = 1e-2 and 1e-3: 3 for TM1, 5 for TE1
     eps = 2.6
     for pol, power in ((POL_TM, 3.0), (POL_TE, 5.0)):
-        t1 = mie_coefficient(pol, 1, 1e-2, eps)
-        t2 = mie_coefficient(pol, 1, 1e-3, eps)
+        t1 = mie_coefficient(pol, 1, 1e-2, eps) * math.exp(2e-2)
+        t2 = mie_coefficient(pol, 1, 1e-3, eps) * math.exp(2e-3)
         slope = math.log(abs(t1) / abs(t2)) / math.log(10.0)
         assert slope == pytest.approx(power, abs=1e-3)
 
@@ -87,18 +89,31 @@ def test_vanishing_at_small_and_scaled_large_argument():
     assert abs(mie_coefficient(POL_TM, 1, 1e-4, 2.6)) < 1e-11
     assert abs(mie_coefficient(POL_TE, 1, 1e-4, 2.6)) < 1e-19
     # the scaled coefficient saturates at an O(1) reflection amplitude
-    assert 0.0 < abs(mie_coefficient(POL_TM, 1, 40.0, 2.6, scaled=True)) < 1.0
+    assert 0.0 < abs(mie_coefficient(POL_TM, 1, 40.0, 2.6)) < 1.0
 
 
-def test_scaled_consistency_and_overflow():
+def _t_oracle(pol, l, x, eps_rel):
+    """Unscaled T_{pol,l} from the scipy radial functions of ``helpers``."""
+    def pair(kind, arg):
+        return (float(helpers.radial(kind, l, arg)),
+                float(helpers.riccati_dx(kind, l, arg)))
+
+    (ib, spb), (eb, epb) = pair("regular", x), pair("outgoing", x)
+    is_, sps = pair("regular", math.sqrt(eps_rel) * x)
+    if pol == POL_TE:
+        return (spb * is_ - ib * sps) / (eb * sps - epb * is_)
+    return (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
+
+
+def test_scaled_consistency_and_finiteness():
+    # T e^{-2x} times e^{2x} against the unscaled scipy oracle
     x = 12.0
     for pol, l in ((POL_TE, 1), (POL_TM, 2)):
-        s = mie_coefficient(pol, l, x, 2.6, scaled=True)
-        u = mie_coefficient(pol, l, x, 2.6)
-        assert s * math.exp(2.0 * x) == pytest.approx(u, rel=1e-14)
-    with pytest.raises(OverflowError):
-        mie_coefficient(POL_TM, 1, 800.0, 2.6)
-    assert math.isfinite(mie_coefficient(POL_TM, 1, 800.0, 2.6, scaled=True))
+        s = mie_coefficient(pol, l, x, 2.6)
+        assert s * math.exp(2.0 * x) == pytest.approx(
+            _t_oracle(pol, l, x, 2.6), rel=1e-14)
+    # e^{1600} overflows; the scaled coefficient does not
+    assert math.isfinite(mie_coefficient(POL_TM, 1, 800.0, 2.6))
 
 
 def test_diag_is_m_degenerate():
@@ -119,8 +134,8 @@ def _t_one_order(pol, l, x, eps_rel, scaled):
         return 0.0
 
     def pair(arg):
-        zi, spi = riccati_ik("i", l, arg, scaled=True)
-        ze, spe = riccati_ik("e", l, arg, scaled=True)
+        zi, spi = riccati_ik("i", l, arg)
+        ze, spe = riccati_ik("e", l, arg)
         return (float(zi), float(spi)), (float(ze), float(spe))
 
     (ib, spb), (eb, epb) = pair(x)
@@ -136,10 +151,12 @@ def _t_one_order(pol, l, x, eps_rel, scaled):
     (4, 0.9, 2.6, False), (4, 0.05, 80.0, True), (5, 3.3, 0.5, False),
     (3, 1.3, 1.0, False), (6, 400.0, 2.6, True)])
 def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
+    # scaled=False compares T itself, rebuilt as (T e^{-2x}) e^{2x}
     basis = BasisSpec(l_max)
     want = np.array([_t_one_order(pol, l, x, eps, scaled)
                      for pol, l, _ in basis.labels()])
-    assert np.array_equal(mie_diag(basis, x, eps, scaled=scaled), want)
+    got = mie_diag(basis, x, eps)
+    assert np.array_equal(got if scaled else got * math.exp(2.0 * x), want)
 
 
 def test_diag_evaluates_each_radial_table_once(monkeypatch):

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from casphere.basis import BasisSpec
 from casphere.constants import HBAR_C
 from casphere.mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                           TabulatedPermittivity, mie_coefficient, mie_diag)
@@ -24,11 +25,12 @@ from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  potential_along_path, three_body_energy,
                                  three_body_force)
 from casphere.scattering import _assemble, _energy_rows, _path_exponent
-from casphere.spectral import SpectralSettings
+from casphere.spectral import SpectralSettings, integrate_zero_t, matsubara_sum
 from casphere.translation import (KIND_OUTGOING, _gradient_stack,
                                   translation_matrix)
 
 EPS4 = ConstantPermittivity(4.0)
+BASIS2 = BasisSpec(2)
 FAST = SpectralSettings(n_nodes=24, check_nodes=8)
 
 
@@ -278,7 +280,7 @@ def test_assembly_computes_one_mie_vector_per_distinct_sphere(
                                  [0.0, 0.0, -3.0])
         a10 = np.outer(par, par) * a01
         for i, (s, a) in enumerate(zip(sc.spheres, (a01, a10))):
-            want = mie_diag(sc.basis, xi * s.radius, 4.0, scaled=True)
+            want = mie_diag(sc.basis, xi * s.radius, 4.0)
             got = m[i * ds:(i + 1) * ds, (1 - i) * ds:(2 - i) * ds]
             assert np.array_equal(got, (want / lbal)[:, None] * a * cols)
 
@@ -294,7 +296,9 @@ def test_dipole_limit_matches_dyadic_force_law():
                             ConstantPermittivity(eps))),
         l_max=1)
     got = force_integrand(sc, "b", xi, "fixed(2)")[2]
-    alpha = -1.5 * mie_coefficient(1, 1, xi * r, eps) / xi ** 3
+    # T_1 = (T_1 e^{-2x}) e^{2x}
+    alpha = (-1.5 * mie_coefficient(1, 1, xi * r, eps)
+             * math.exp(2.0 * xi * r) / xi ** 3)
     u = xi * d
     p = 6.0 + 12.0 * u + 10.0 * u ** 2 + 4.0 * u ** 3 + 2.0 * u ** 4
     pp = 12.0 + 20.0 * u + 12.0 * u ** 2 + 8.0 * u ** 3
@@ -646,10 +650,19 @@ NAN, INF = float("nan"), float("inf")
     (lambda: DrudeLorentzPermittivity(((5.0, 1.0, -0.1),)), "oscillator"),
     (lambda: TabulatedPermittivity((1.0, 2.0), (2.0, NAN)), "eps samples"),
     (lambda: TabulatedPermittivity((1.0, NAN), (2.0, 2.0)), "xi grid"),
+    # not the models and settings a scene evaluates
+    (lambda: SphereSpec("q", (0.0, 0.0, 0.0), 1.0, 2.6), "'q'.*permittivity"),
+    (lambda: SceneConfig(spheres=((0.0, 0.0, 0.0),)), "spheres"),
+    (lambda: SceneConfig(spheres=two_spheres().spheres, background=1.0),
+     "background"),
+    (lambda: SceneConfig(spheres=two_spheres().spheres,
+                         spectral={"xi_eps": 1e-3}), "spectral"),
 ], ids=["center-nan", "center-inf", "radius-nan", "radius-inf", "eps-nan",
         "eps-inf", "temperature-nan", "length-unit-nan", "drude-nan",
         "drude-two-entries", "drude-negative-amplitude",
-        "drude-negative-damping", "tabulated-eps-nan", "tabulated-xi-nan"])
+        "drude-negative-damping", "tabulated-eps-nan", "tabulated-xi-nan",
+        "permittivity-float", "spheres-tuple", "background-float",
+        "spectral-dict"])
 def test_non_finite_input_is_rejected_at_construction(build, names):
     with pytest.raises(ValueError, match=names):
         build()
@@ -710,3 +723,35 @@ def test_interaction_energy_needs_two_spheres(temperature, unit):
         temperature_kelvin=temperature, length_unit_m=unit)
     with pytest.raises(ValueError, match="at least two spheres"):
         interaction_energy(lone)
+
+
+@pytest.mark.parametrize("call, names", [
+    (lambda f: force_integrand(two_spheres(l_max=2), "b", NAN), "^xi must"),
+    (lambda f: force_integrand(two_spheres(l_max=2), "b", INF), "^xi must"),
+    (lambda f: energy_integrand(two_spheres(l_max=2), NAN), "^xi must"),
+    (lambda f: energy_integrand(two_spheres(l_max=2), -1.0), "^xi must"),
+    (lambda f: logdet_energy_oracle(two_spheres(l_max=2), NAN), "^xi must"),
+    (lambda f: translation_matrix(BASIS2, KIND_OUTGOING, NAN, (0, 0, 3.0)),
+     "kappa"),
+    (lambda f: translation_matrix(BASIS2, KIND_OUTGOING, 1.0, (0, NAN, 3)),
+     "displacement"),
+    (lambda f: mie_diag(BASIS2, NAN, 2.6), "x = n_B xi R"),
+    (lambda f: mie_diag(BASIS2, 1.0, NAN), "relative permittivity"),
+    (lambda f: integrate_zero_t(f, NAN), "decay_scale"),
+    (lambda f: matsubara_sum(f, NAN), "temperature"),
+], ids=["force-xi-nan", "force-xi-inf", "energy-xi-nan", "energy-xi-negative",
+        "logdet-xi-nan", "translation-kappa-nan", "translation-distance-nan",
+        "mie-x-nan", "mie-eps-nan", "quadrature-decay-nan",
+        "matsubara-temperature-nan"])
+def test_nan_is_rejected_by_the_positivity_guards(call, names):
+    # a guard written v <= 0 lets NaN through; the spectral routines
+    # must refuse before evaluating their integrand at all
+    evals = []
+
+    def f(xi):
+        evals.append(xi)
+        return 1.0
+
+    with pytest.raises(ValueError, match=names):
+        call(f)
+    assert evals == []

@@ -46,15 +46,29 @@ def test_domain_errors():
 
 # --------------------------------------------------- order arrays
 
+def _unscale(kind, x):
+    """e^{+x} for the regular kind, e^{-x} for the outgoing one: the
+    factor that turns a returned radial value back into z_l(x)."""
+    return math.exp(x if RadialKind(kind) is RadialKind.REGULAR else -x)
+
+
+def _unscaled(fn, kind, x):
+    """fn as a caller rebuilds the unscaled function from it."""
+    return lambda l: np.multiply(fn(kind, l, x), _unscale(kind, x))
+
+
 def _order_cases():
     orders = (np.arange(13),)
     for x in (1e-6, 1.0, 60.0, 800.0):
         for fn in (mod_sph_bessel, mod_sph_bessel_dx, riccati_ik):
             for kind in ("i", "e"):
-                # unscaled i_l overflows at x = 800
+                # the returned scaled values, and (below x = 700, where
+                # e^{x} is finite) the unscaled ones rebuilt from them
                 for scaled in (False, True) if x < 700.0 else (True,):
+                    call = (partial(fn, kind, x=x) if scaled
+                            else _unscaled(fn, kind, x))
                     yield pytest.param(
-                        partial(fn, kind, x=x, scaled=scaled), orders,
+                        call, orders,
                         id=f"{fn.__name__}-{kind}-scaled={scaled}-x={x:g}")
     harmonic_orders = (np.arange(13)[:, None], np.arange(-12, 13))
     for theta in (1e-6, 1.0, 60.0):
@@ -74,50 +88,52 @@ def test_order_array_equals_scalar_calls(call, orders):
 # --------------------------------------------------------- i_l and e_l
 
 def test_mod_sph_bessel_closed_forms():
-    assert mod_sph_bessel("i", 0, 1.0) == pytest.approx(math.sinh(1.0), rel=1e-14)
+    # returned scaled: i_0(1) e^{-1} = sinh(1) e^{-1}
+    assert mod_sph_bessel("i", 0, 1.0) * math.exp(1.0) == pytest.approx(
+        math.sinh(1.0), rel=1e-14)
     # declared normalization: e_0(x) = e^{-x}/x, e_1(x) = -e^{-x}(1/x + 1/x^2)
-    assert mod_sph_bessel("e", 0, 1.0) == pytest.approx(
+    assert mod_sph_bessel("e", 0, 1.0) * math.exp(-1.0) == pytest.approx(
         math.exp(-1.0), rel=1e-14)
-    assert mod_sph_bessel("e", 1, 2.0) == pytest.approx(
+    assert mod_sph_bessel("e", 1, 2.0) * math.exp(-2.0) == pytest.approx(
         -math.exp(-2.0) * 0.75, rel=1e-14)
 
 
 def test_mod_sph_bessel_oracle_values():
-    assert mod_sph_bessel("i", 4, 3.0) == pytest.approx(I4_AT_3, rel=1e-12)
-    assert mod_sph_bessel("e", 4, 3.0) == pytest.approx(E4_AT_3, rel=1e-12)
+    assert mod_sph_bessel("i", 4, 3.0) == pytest.approx(
+        I4_AT_3 * math.exp(-3.0), rel=1e-12)
+    assert mod_sph_bessel("e", 4, 3.0) == pytest.approx(
+        E4_AT_3 * math.exp(3.0), rel=1e-12)
     # the terminating sum against scipy's K_{l+1/2}, odd and even l
     for l in (1, 2, 7, 20):
         for x in (0.05, 1.3, 40.0):
             assert mod_sph_bessel("e", l, x) == pytest.approx(
-                float(helpers.mod_e(l, x)), rel=1e-12)
+                float(helpers.mod_e(l, x)) * math.exp(x), rel=1e-12)
 
 
 def test_mod_sph_bessel_scaled_variants():
+    # i_l e^{-x} and e_l e^{+x} against the unscaled scipy oracle
     for l in (0, 2, 7):
         for x in (0.2, 4.0, 50.0):
-            i_sc = mod_sph_bessel("i", l, x, scaled=True)
-            assert i_sc * math.exp(x) == pytest.approx(
-                mod_sph_bessel("i", l, x), rel=1e-13)
-            e_sc = mod_sph_bessel("e", l, x, scaled=True)
-            assert e_sc * math.exp(-x) == pytest.approx(
-                mod_sph_bessel("e", l, x), rel=1e-13)
+            assert mod_sph_bessel("i", l, x) == pytest.approx(
+                float(helpers.mod_i(l, x)) * math.exp(-x), rel=1e-13)
+            assert mod_sph_bessel("e", l, x) == pytest.approx(
+                float(helpers.mod_e(l, x)) * math.exp(x), rel=1e-13)
 
 
-def test_mod_sph_bessel_overflow_signaled():
-    with pytest.raises(OverflowError):
-        mod_sph_bessel("i", 1, 800.0)
-    assert np.isfinite(mod_sph_bessel("i", 1, 800.0, scaled=True))
-    assert np.isfinite(mod_sph_bessel("e", 1, 800.0, scaled=True))
+def test_mod_sph_bessel_finite_at_large_argument():
+    # e^{800} overflows; the scaled values do not
+    assert np.isfinite(mod_sph_bessel("i", 1, 800.0))
+    assert np.isfinite(mod_sph_bessel("e", 1, 800.0))
 
 
 def test_modified_wronskian():
     # i_l e'_l - i'_l e_l = (-1)^{l+1}/x^2 under the declared normalization
     for l in (0, 1, 6, 20):
         for x in (0.02, 0.9, 12.0, 80.0):
-            i = mod_sph_bessel("i", l, x, scaled=True)
-            ip = mod_sph_bessel_dx("i", l, x, scaled=True)
-            e = mod_sph_bessel("e", l, x, scaled=True)
-            ep = mod_sph_bessel_dx("e", l, x, scaled=True)
+            i = mod_sph_bessel("i", l, x)
+            ip = mod_sph_bessel_dx("i", l, x)
+            e = mod_sph_bessel("e", l, x)
+            ep = mod_sph_bessel_dx("e", l, x)
             w = i * ep - ip * e          # e^{+-x} scalings cancel
             assert w == pytest.approx((-1.0) ** (l + 1) / x**2, rel=1e-10)
 
@@ -127,9 +143,9 @@ def test_modified_recurrences():
     for kind in ("i", "e"):
         for l in (1, 3, 9):
             for x in (0.1, 2.2, 30.0):
-                lhs = mod_sph_bessel(kind, l - 1, x, scaled=True) \
-                    - mod_sph_bessel(kind, l + 1, x, scaled=True)
-                rhs = (2 * l + 1) / x * mod_sph_bessel(kind, l, x, scaled=True)
+                lhs = mod_sph_bessel(kind, l - 1, x) \
+                    - mod_sph_bessel(kind, l + 1, x)
+                rhs = (2 * l + 1) / x * mod_sph_bessel(kind, l, x)
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -137,11 +153,13 @@ def test_derivatives_match_the_scipy_oracle():
     for kind, oracle in (("i", helpers.mod_i), ("e", helpers.mod_e)):
         for l in (0, 1, 4, 11):
             for x in (0.3, 2.5, 25.0):
-                z, dz = _value_and_dx(kind, l, x, False)
-                assert z == pytest.approx(float(oracle(l, x)), rel=1e-12)
+                z, dz = _value_and_dx(kind, l, x)
+                scale = 1.0 / _unscale(kind, x)
+                assert z == pytest.approx(float(oracle(l, x)) * scale,
+                                          rel=1e-12)
                 h = 1e-5 * x
                 fd = (oracle(l, x + h) - oracle(l, x - h)) / (2.0 * h)
-                assert dz == pytest.approx(float(fd), rel=1e-7)
+                assert dz == pytest.approx(float(fd) * scale, rel=1e-7)
 
 
 def test_riccati_pair_matches_product_rule():
@@ -165,7 +183,7 @@ def test_value_and_dx_evaluates_the_radial_table_once(monkeypatch):
 
     monkeypatch.setattr(specfun, "mod_sph_bessel", counted)
     for kind in ("i", "e"):
-        riccati_ik(kind, np.arange(1, 5), 0.7, scaled=True)
+        riccati_ik(kind, np.arange(1, 5), 0.7)
         mod_sph_bessel_dx(kind, 3, 2.0)
     assert len(calls) == 4
 

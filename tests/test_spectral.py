@@ -102,7 +102,7 @@ def test_decay_scale_validation():
 
 def test_zero_frequency_limit():
     f = lambda xi: (1.0 - math.cos(xi)) / (xi * xi)
-    val, err = zero_frequency_limit(f)
+    val, err = zero_frequency_limit(f, 1e-3)
     assert val == pytest.approx(0.5, abs=1e-7)
     assert abs(val - 0.5) < 10.0 * err + 1e-12
     # seed-independence, on a form free of subtractive cancellation
