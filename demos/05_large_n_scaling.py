@@ -5,7 +5,7 @@ Many weakly coupled spheres: the collective ring estimate
 For N weak spheres arranged so every connected scattering path hops a
 distance s, the leading irreducibly connected contribution can be
 estimated in closed form.  The package carries two routes: the exact
-ring-diagram integral (log domain, Gauss-Laguerre) and its Stirling
+ring-diagram integral (log domain, exact moments) and its Stirling
 asymptotic.  Both obey the same rescaling laws, which this demo checks
 numerically, before cross-checking the s-exponent against a genuine
 three-sphere multiple-scattering calculation.

@@ -417,7 +417,7 @@ def run_large_n(args):
         else:
             res = largen_potential_integral(params)
         mag = res.magnitude if res.log_magnitude < 700.0 else math.inf
-        # the integral is Gauss-Laguerre-exact for the polynomial hop
+        # the integral is exact from the moments of the polynomial hop
         # amplitude; only rounding remains
         rows.append((float(n), mag, mag * 1e-14, 1, 0, res.log_magnitude))
     comments = [f"casphere {__version__}",

@@ -32,12 +32,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .mie import ConstantPermittivity
 from .specfun import mod_sph_bessel
 
-# x^2 * Abar(x): per-hop l=1 amplitude polynomial, highest power first
+# x^2 * Abar(x): per-hop l=1 amplitude polynomial, highest power first;
+# 6 (x^2/2 + x + 1), whose shape ``largen_potential_integral`` relies on
 DEFAULT_A_BAR = (3.0, 6.0, 6.0)
 
 
@@ -115,28 +115,44 @@ def derive_a_bar():
 def largen_potential_integral(params: LargeNParams):
     """Ring-diagram integral with the DEFAULT_A_BAR hop, in the log domain.
 
-    Gauss-Laguerre is exact here: e^{-X} times the polynomial
-    F(X)^N of degree 2N needs only n >= N + 1 nodes.
+    With DEFAULT_A_BAR = (a, b, c), F(X)^N = hop^N (a X^2/N^2 + b X/N + c)^N
+    expands into the multinomial terms N!/(i! j! k!) a^i b^j c^k
+    X^m / N^m, m = 2i + j, i + j + k = N, and the moments
+    Int e^{-X} X^m dX = m! integrate each exactly.  Every term is
+    positive, so a log-sum-exp over log-factorials sums them without
+    overflow at any N, one power m at a time.
+
+    Since (a, b, c) = 6 (1/2, 1, 1), the terms of power m add up to
+    6^N P_m, with P_m the chance that m balls thrown into N boxes leave
+    none holding three; P_m cannot grow with m.  The sum therefore stops
+    once (2N - m) times the latest group is below e^{-40} of the total:
+    the groups left out cannot show in a double.  The stop comes near
+    m = 7 N^{2/3}, so the work grows as N^{4/3}, not N^2.
     """
     n = params.n
-    if n > 353:   # scipy's roots_laguerre gives NaN weights from 364 nodes
-        raise ValueError(f"n = {n} is above 353, past which the rule's "
-                         "weights are NaN; use --method asymptotic")
     if params.alpha_s == 0.0:
         return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n, n=n)
     hop_scale = abs(params.alpha_s) * (params.radius / params.separation) ** 3
     if hop_scale == 0.0:
         raise ValueError("alpha_s (R/s)^3 underflows; use --method asymptotic")
-    nodes, weights = roots_laguerre(max(40, n + 10))
-    f = hop_scale * np.polyval(DEFAULT_A_BAR, nodes / n)
-    # logsumexp of ln(w_i) + N ln f_i, then the (N-1)!/(N s) prefactor;
-    # from N = 200 the far weights underflow to 0 and get ln w = -inf
-    log_w = np.log(weights, out=np.full_like(weights, -np.inf),
-                   where=weights > 0.0)
-    logs = log_w + n * np.log(f)
-    top = logs.max()
-    log_int = top + math.log(np.sum(np.exp(logs - top)))
-    log_mag = (math.lgamma(n) - math.log(n * params.separation) + log_int)
+    log_a, log_b, log_c = (math.log(v) for v in DEFAULT_A_BAR)
+    log_fact = np.array([math.lgamma(r + 1.0) for r in range(2 * n + 1)])
+    log_sum = -math.inf
+    for m in range(2 * n + 1):
+        i = np.arange(max(0, m - n), m // 2 + 1)
+        j = m - 2 * i
+        k = n - m + i
+        logs = (i * log_a + j * log_b + k * log_c
+                - log_fact[i] - log_fact[j] - log_fact[k])
+        top = logs.max()
+        group = (top + math.log(np.sum(np.exp(logs - top)))
+                 + log_fact[m] - m * math.log(n))
+        log_sum = float(np.logaddexp(log_sum, group))
+        if m < 2 * n and group + math.log(2 * n - m) < log_sum - 40.0:
+            break
+    log_int = n * math.log(hop_scale) + log_fact[n] + log_sum
+    # the (N-1)!/(N s) prefactor
+    log_mag = math.lgamma(n) - math.log(n * params.separation) + log_int
     return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n, n=n)
 
 

@@ -1,7 +1,6 @@
 """Special functions used by the scattering machinery.
 
-Bessel-family evaluations wrap scipy.special where scipy already
-implements the stable recurrence choices; this module pins the
+Numpy and the standard library only.  This module pins the
 conventions, returns the radial functions exponentially scaled so they
 stay finite at any argument, enforces the order hard cap, and provides
 exact-arithmetic Wigner 3j / Gaunt coefficients.  Every order argument
@@ -29,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 # Orders above this are refused: double precision recurrences and the
 # factorial-based couplings degrade, and the physics here never needs them.
@@ -50,14 +48,51 @@ def _check_l(l):
     return l
 
 
-# (2l+1)!! for every admissible order, exact integers rounded once
-_DFACT_ODD = np.array([float(math.prod(range(2 * l + 1, 1, -2)))
-                       for l in range(L_HARD_CAP + 1)])
-
-
 # ----------------------------------------------------------------------
 # imaginary-axis (modified) spherical Bessel
 # ----------------------------------------------------------------------
+
+def _regular_row(top, x):
+    """[i_l(x) e^{-x} for l = 0..top] at one x >= 0, in Python floats.
+
+    Downward ratio recurrence r_k = i_k / i_{k-1} = x / (2k + 1 + x r_{k+1})
+    (Gautschi, SIAM Rev. 9, 24, 1967), started from r = 0 at
+    k = top + 20 + floor(6 sqrt(x)), deep enough that the start is
+    forgotten to rounding; the ratios multiply up from
+    i_0(x) e^{-x} = -expm1(-2x) / (2x).
+    """
+    if x == 0.0:
+        return [1.0] + [0.0] * top
+    ratios = []
+    r = 0.0
+    for k in range(top + 20 + int(6.0 * math.sqrt(x)), 0, -1):
+        r = x / (2 * k + 1 + x * r)
+        ratios.append(r)
+    row = [-math.expm1(-2.0 * x) / (2.0 * x)]
+    for r in ratios[::-1][:top]:
+        row.append(row[-1] * r)
+    return row
+
+
+def _outgoing_row(top, x):
+    """[e_l(x) e^{+x} for l = 0..top] at one x >= 0, in Python floats.
+
+    The exact terminating sum
+    e_l(x) e^{x} = (-1)^l sum_{k=0..l} (l+k)! / (k! (l-k)! (2x)^k) / x,
+    whose terms all share one sign (no cancellation at any x); e_l is
+    (-1)^l inf at x = 0.
+    """
+    if x == 0.0:
+        return [(-1.0) ** l * math.inf for l in range(top + 1)]
+    row = []
+    for l in range(top + 1):
+        acc = term = 1.0
+        for k in range(1, l + 1):
+            term = term * ((l + k) * (l - k + 1) / (2.0 * k)) / x
+            acc = acc + term
+        row.append((-acc if l % 2 else acc) / x)
+    return row
+
 
 def mod_sph_bessel(kind, l, x):
     """Scaled modified spherical Bessel function, x >= 0: i_l(x) e^{-x}
@@ -71,39 +106,21 @@ def mod_sph_bessel(kind, l, x):
         Orders; they broadcast against x.  A scalar l and x give a float.
     x : float or array
 
-    The outgoing kind uses the exact terminating sum
-    e_l(x) e^{x} = (-1)^l sum_{k=0..l} (l+k)! / (k! (l-k)! (2x)^k) / x,
-    whose terms all share one sign (no cancellation at any x).
+    One table of orders 0..max(l) is built per distinct x
+    (``_regular_row``, ``_outgoing_row``) and indexed with l.
     """
     kind = RadialKind(kind)
     l = _check_l(l)
     x = np.asarray(x, dtype=float)
-    scalar = l.ndim == 0 and x.ndim == 0
-    if np.any(x < 0):
-        raise ValueError("mod_sph_bessel requires x >= 0")
-    l, x = (np.atleast_1d(a) for a in np.broadcast_arrays(l, x))
-    if kind is RadialKind.REGULAR:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.sqrt(np.pi / (2.0 * x)) * _sp.ive(l + 0.5, x)
-        small = x < 1e-5
-        if np.any(small):
-            xs = np.where(small, x, 1.0)
-            # numpy's xs**2 for a scalar l = 2 is xs*xs; keep its floats
-            xl = np.where(l == 2, xs * xs, xs ** l)
-            ser = (xl / _DFACT_ODD[l]
-                   * (1.0 + xs * xs / (2.0 * (2 * l + 3))) * np.exp(-xs))
-            out = np.where(small, ser, out)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            acc = np.ones_like(x)
-            term = np.ones_like(x)
-            for k in range(1, int(l.max(initial=0)) + 1):
-                term = term * ((l + k) * (l - k + 1) / (2.0 * k)) / x
-                acc = np.where(k <= l, acc + term, acc)
-            out = np.where(l % 2, -acc, acc) / x
-    if scalar:
-        return float(out[0])
-    return out
+    distinct = {}
+    at = [distinct.setdefault(v, len(distinct)) for v in x.ravel().tolist()]
+    if not all(0.0 <= v < math.inf for v in distinct):
+        raise ValueError("mod_sph_bessel requires finite x >= 0")
+    row = _regular_row if kind is RadialKind.REGULAR else _outgoing_row
+    top = int(l.max(initial=0))
+    table = np.array([row(top, v) for v in distinct]).reshape(-1, top + 1)
+    out = table[np.reshape(at, x.shape), l]
+    return float(out) if out.ndim == 0 else out
 
 
 def mod_sph_bessel_dx(kind, l, x):

@@ -23,9 +23,10 @@ are reported with the same shape.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,13 @@ class SpectralSettings:
                                  f"got {value!r}")
 
 
+# (nodes, weights) of the n-node Gauss-Laguerre rule, computed once per
+# node count: a ``laggauss`` call costs about 1 ms
+_gauss_laguerre = lru_cache(maxsize=None)(laggauss)
+
+
 def _gauss_laguerre_apply(f, decay_scale, n):
-    nodes, weights = roots_laguerre(n)
+    nodes, weights = _gauss_laguerre(n)
     terms = np.stack([(w * math.exp(u) / decay_scale)
                       * np.asarray(f(u / decay_scale), dtype=float)
                       for u, w in zip(nodes, weights)])

@@ -394,14 +394,17 @@ def test_large_n_rejects_bad_input_naming_it(tmp_path, capsys, args, field):
     assert not out.exists()
 
 
-def test_large_n_integral_rejects_n_past_its_rule(tmp_path, capsys):
-    out = tmp_path / "ln.csv"
-    for n in (["--n", "1000"], ["--n-range", "350:360"]):
+def test_large_n_integral_takes_n_past_the_old_cap(tmp_path):
+    # the exact moments replaced a rule that ended at N = 353
+    for n, want in ((["--n", "1000"], [1000]),
+                    (["--n-range", "350:360"], list(range(350, 361)))):
+        out = tmp_path / "ln.csv"
         assert main(["large-n", *n, "--alpha-s", "0.05", "--separation",
-                     "8", "--out", str(out)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "n = " in err and "--method asymptotic" in err
-        assert not out.exists()
+                     "8", "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert [int(float(row[0])) for row in rows] == want
+        for row in rows:
+            assert math.isfinite(float(row[5]))
     assert main(["large-n", "--n", "1000", "--alpha-s", "0.05",
                  "--separation", "8", "--method", "asymptotic",
                  "--out", str(out)]) == EXIT_OK

@@ -85,12 +85,17 @@ def test_integral_matches_exact_moment_sum(n):
 
 
 def test_integral_is_bounded_in_n():
-    # the Gauss-Laguerre rule takes N + 10 nodes; from 364 nodes scipy
-    # returns NaN weights, so N = 353 is the last N it resolves
-    top = largen_potential_integral(params(n=353))
-    assert math.isfinite(top.log_magnitude)
-    with pytest.raises(ValueError, match="n = 354.*--method asymptotic"):
-        largen_potential_integral(params(n=354))
+    # the exact moments have no node count to run out of: N = 353 was
+    # the last N the old Gauss-Laguerre rule resolved
+    for n in (353, 354, 1000):
+        p = params(n=n)
+        got = largen_potential_integral(p).log_magnitude
+        assert math.isfinite(got)
+        assert got == pytest.approx(_exact_log_magnitude(p), rel=1e-13)
+    # the sum stops near m = 7 N^{2/3}: bounded work where the exact
+    # integer sum above is out of reach
+    assert math.isfinite(largen_potential_integral(
+        params(n=10 ** 5)).log_magnitude)
     assert math.isfinite(largen_asymptotic(params(n=10 ** 6)).log_magnitude)
 
 

@@ -10,6 +10,7 @@ integral using scipy's own spherical harmonics.
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
@@ -37,6 +38,10 @@ def test_domain_errors():
         mod_sph_bessel("e", np.array([0, 3, L_HARD_CAP + 1]), 1.0)
     with pytest.raises(ValueError):
         mod_sph_bessel("i", 2, -0.5)
+    for kind in ("i", "e"):
+        for bad in (math.nan, math.inf, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="finite x >= 0"):
+                mod_sph_bessel(kind, 2, bad)
     with pytest.raises(ValueError):
         mod_sph_bessel("nope", 2, 0.5)
     # k_l is a definition in ``constants``, not a kind
@@ -108,6 +113,53 @@ def test_mod_sph_bessel_oracle_values():
         for x in (0.05, 1.3, 40.0):
             assert mod_sph_bessel("e", l, x) == pytest.approx(
                 float(helpers.mod_e(l, x)) * math.exp(x), rel=1e-12)
+
+
+def _regular_40_digits(l, x):
+    """i_l(x) e^{-x} from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return (mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
+                * mpmath.besseli(l + mpmath.mpf(1) / 2, x))
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-4, 3e-3, 0.05, 0.4, 1.0, 3.3, 17.0,
+                               61.0, 244.0, 500.0, 800.0])
+def test_regular_kind_matches_40_digit_values(x):
+    # every order up to the cap, wherever the value is a normal double
+    got = mod_sph_bessel("i", np.arange(L_HARD_CAP + 1), x)
+    for l in range(L_HARD_CAP + 1):
+        want = _regular_40_digits(l, x)
+        if want > 1e-290:
+            assert got[l] == pytest.approx(float(want), rel=2e-15, abs=0.0)
+
+
+def test_regular_kind_at_zero():
+    got = mod_sph_bessel("i", np.arange(L_HARD_CAP + 1), 0.0)
+    assert np.array_equal(got, np.eye(1, L_HARD_CAP + 1)[0])
+    assert mod_sph_bessel("i", 0, 0.0) == 1.0
+
+
+def _outgoing_numpy_sum(l, x):
+    """e_l(x) e^{x}: the terminating sum, vectorized over the orders."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        acc = np.ones_like(l, dtype=float)
+        term = np.ones_like(l, dtype=float)
+        for k in range(1, int(l.max()) + 1):
+            term = term * ((l + k) * (l - k + 1) / (2.0 * k)) / x
+            acc = np.where(k <= l, acc + term, acc)
+        return np.where(l % 2, -acc, acc) / x
+
+
+def test_outgoing_table_equals_the_vectorized_sum():
+    # the per-x Python loop makes the same operations in the same order
+    l = np.arange(L_HARD_CAP + 1)
+    for x in np.geomspace(1e-6, 800.0, 40):
+        assert np.array_equal(mod_sph_bessel("e", l, x),
+                              _outgoing_numpy_sum(l, x))
+    xs = np.array([0.3, 2.0, 0.3, 5.0])
+    assert np.array_equal(mod_sph_bessel("e", 7, xs),
+                          _outgoing_numpy_sum(np.full(4, 7), xs))
 
 
 def test_mod_sph_bessel_scaled_variants():
@@ -307,9 +359,11 @@ def test_gaunt_symmetry_under_pair_permutation():
         assert a == pytest.approx(c, rel=1e-13)
 
 
-def test_gaunt_yyc_matches_quadrature():
-    # Int Y_lm Y*_l'm' Y*_{p,m-m'} dOmega, the coupling used by translations
-    l, m, lp, mpp, p = 2, 1, 1, 1, 2
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_gaunt_yyc_matches_quadrature(p):
+    # Int Y_lm Y*_l'm' Y*_{p,m-m'} dOmega, the coupling used by translations;
+    # p = 2 is a selection-rule zero, p = 1 and 3 give 0.2185 and -0.1430
+    l, m, lp, mpp = 2, 1, 1, 1
     got = gaunt_yyc(l, m, lp, mpp, p)
     u, w = np.polynomial.legendre.leggauss(30)
     theta = np.arccos(u)
@@ -321,4 +375,4 @@ def test_gaunt_yyc_matches_quadrature():
             * np.conj(sph_harm_y(lp, mpp, tt.ravel(), pp2.ravel()))
             * np.conj(sph_harm_y(p, m - mpp, tt.ravel(), pp2.ravel())))
     quad = float(np.sum(ww * trip).real)
-    assert got == pytest.approx(quad, rel=1e-12)
+    assert got == pytest.approx(quad, rel=1e-12, abs=1e-14)

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from casphere.spectral import (SpectralSettings, integrate_zero_t,
-                               matsubara_sum, zero_frequency_limit)
+from casphere.spectral import (SpectralSettings, _gauss_laguerre,
+                               integrate_zero_t, matsubara_sum,
+                               zero_frequency_limit)
 
 
 def test_zero_integrand():
@@ -91,6 +93,32 @@ def test_gauss_laguerre_agrees_with_adaptive_quad():
     gl_val, gl_err = integrate_zero_t(f, 2.0)
     ad_val, ad_err = quad(f, 0.0, np.inf, epsrel=1e-8, limit=200)
     assert abs(gl_val - ad_val) <= 10.0 * (gl_err + ad_err) + 1e-12
+
+
+def _laguerre(n, x):
+    """(L_n(x), L_{n+1}(x)) by the three-term recurrence."""
+    low, high = 1, 1 - x
+    for k in range(1, n):
+        low, high = high, ((2 * k + 1 - x) * high - k * low) / (k + 1)
+    return high, ((2 * n + 1 - x) * high - n * low) / (n + 1)
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_rule_weights_match_a_40_digit_rule(n):
+    # each node polished to a root of L_n by Newton's method in 40-digit
+    # arithmetic, with w = u / ((n + 1) L_{n+1}(u))^2; the integrands
+    # meet the rule as w e^u
+    nodes, weights = _gauss_laguerre(n)
+    with mpmath.workdps(40):
+        for u, w in zip(nodes, weights):
+            x = mpmath.mpf(u)
+            for _ in range(6):
+                ln, ln1 = _laguerre(n, x)
+                # x L_n' = (n + 1) L_{n+1} - (n + 1 - x) L_n
+                x -= ln * x / ((n + 1) * ln1 - (n + 1 - x) * ln)
+            want = x / ((n + 1) * _laguerre(n, x)[1]) ** 2 * mpmath.exp(x)
+            assert float(x) == pytest.approx(u, rel=1e-14)
+            assert w * math.exp(u) == pytest.approx(float(want), rel=1e-11)
 
 
 def test_decay_scale_validation():
