@@ -22,7 +22,7 @@ from casphere import (ConstantPermittivity, SceneConfig, SphereSpec,
                       SpectralSettings, casimir_force, interaction_energy)
 
 EPS = ConstantPermittivity(2.6)
-FAST = SpectralSettings(n_nodes=24, check_nodes=8)
+FAST = SpectralSettings(n_nodes=24)
 
 
 def pair(d, l_max=3):
@@ -51,13 +51,13 @@ print(f"\nat d = {d0}: F_z = {fz:.10e}")
 print(f"           -dE/dd = {fd:.10e}   (rel diff {abs(fd/fz-1.0):.2e})")
 
 # --- scattering-order convergence ----------------------------------------
-# fixed(k) keeps round trips with exactly k scattering events; the
+# fixed_k=k keeps round trips with exactly k scattering events; the
 # resummed result solves the full linear system.  A closed path on two
 # spheres needs an even number of hops, so every odd order vanishes.
 res_full = casimir_force(pair(d0), "b")
 print(f"\nresummed        F_z = {res_full.force[2]: .6e}")
 acc = 0.0
 for k in (2, 3, 4):
-    term = casimir_force(pair(d0), "b", order=f"fixed({k})").force[2]
+    term = casimir_force(pair(d0), "b", fixed_k=k).force[2]
     acc += term
-    print(f"fixed({k}) term      {term: .6e}   running sum {acc: .6e}")
+    print(f"fixed_k={k} term     {term: .6e}   running sum {acc: .6e}")

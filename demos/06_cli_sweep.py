@@ -17,7 +17,7 @@ from casphere.cli import main
 SCENE = {
     "schema_version": 1,
     "l_max": 3,
-    "spectral": {"n_nodes": 24, "check_nodes": 8},
+    "spectral": {"n_nodes": 24},
     "spheres": [
         {"label": "a", "center": [0, 0, 0], "radius": 1.0,
          "permittivity": {"model": "constant", "eps": 2.6}},

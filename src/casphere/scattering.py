@@ -11,8 +11,8 @@ The interaction energy and the force on sphere t are
     F_t  = +(1/2 pi) Int_0^inf tr[(1 - M)^{-1} dM/dr_t] d xi
 
 (T = 0; at T > 0 the integral becomes the Matsubara sum, see
-``spectral``).  "resummed" evaluates the inverse exactly - the full
-geometric series over closed scattering paths; "fixed(k)" keeps paths
+``spectral``).  By default the inverse is evaluated exactly - the full
+geometric series over closed scattering paths; ``fixed_k=k`` keeps paths
 with exactly k scattering events, tr[M^{k-1} dM], the order-by-order
 structure that the three-body decomposition and the large-N estimator
 sample.
@@ -35,7 +35,6 @@ these arrays, at any gap.
 import itertools
 import math
 import numbers
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +42,8 @@ import numpy as np
 from .basis import BasisSpec
 from .constants import C_LIGHT, HBAR_C, matsubara_scale
 from .mie import ConstantPermittivity, PermittivityModel, mie_diag
-from .spectral import SpectralSettings, integrate_zero_t, matsubara_sum
+from .spectral import (XI_EPS, SpectralSettings, integrate_zero_t,
+                       matsubara_sum)
 from .translation import KIND_OUTGOING, _gradient_stack, translation_matrix
 
 _TWO_PI = 2.0 * math.pi
@@ -170,13 +170,12 @@ class ForceResult:
     -kappa(xi_ref) times the length of the shortest closed k-hop walk
     through the target, the decay of its leading paths at the reference
     frequency xi_ref = 1 / (2 sqrt(eps_b) min_gap), eps_b the background
-    at spectral.xi_eps; -inf when no such walk exists (odd k for a
+    at spectral.XI_EPS; -inf when no such walk exists (odd k for a
     pair).  It is 0.0 for resummed results.
     """
     force: np.ndarray
     error: np.ndarray
     target: str
-    order: str
     l_max: int
     n_freq: int
     exponent_scale: float
@@ -359,19 +358,14 @@ def _scattering_events(k, name):
 
 # ------------------------------------------------------------------ force
 
-def _force_args(scene: SceneConfig, target, order):
-    """(target index, k): k is None for "resummed", else from "fixed(k)".
+def _force_args(scene: SceneConfig, target, fixed_k):
+    """(target index, k): k is None for the resummed force, else fixed_k.
     Raises on a bad argument before any evaluation."""
     if len(scene.spheres) < 2:
         raise ValueError("force needs at least two spheres")
     t = scene.index_of(target)
-    if order == "resummed":
-        return t, None
-    match = re.fullmatch(r"fixed\((\d+)\)", str(order))
-    if match is None:
-        raise ValueError(
-            f"unknown order {order!r}; use 'resummed' or 'fixed(k)'")
-    return t, _scattering_events(int(match[1]), f"order {order!r}: k")
+    return t, (None if fixed_k is None
+               else _scattering_events(fixed_k, "fixed_k"))
 
 
 def _force_rows(scene: SceneConfig, t, xi, k, subsets):
@@ -407,9 +401,9 @@ def _path_exponent(scene: SceneConfig, t, xi, k):
     return float(walk[t, t])
 
 
-def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
+def force_integrand(scene: SceneConfig, target, xi, *, fixed_k=None):
     """(3,) force integrand; F = Int_0^inf (T=0) or Matsubara-summed."""
-    t, k = _force_args(scene, target, order)
+    t, k = _force_args(scene, target, fixed_k)
     return _force_rows(scene, t, xi, k, [None])[0]
 
 
@@ -417,7 +411,7 @@ def force_integrand(scene: SceneConfig, target, xi, order="resummed"):
 
 def _decay_scale(scene: SceneConfig):
     eps_b = float(scene.background.eps_imag_freq(
-        scene.spectral.xi_eps * scene.frequency_unit))
+        XI_EPS * scene.frequency_unit))
     return 2.0 * math.sqrt(eps_b) * scene.min_gap
 
 
@@ -457,18 +451,19 @@ def _group_forces(scene: SceneConfig, t, k, groups, truncation_error=True):
     return val[::2], qerr[::2] + np.abs(val[::2] - val[1::2]), n_freq
 
 
-def casimir_force(scene: SceneConfig, target, order="resummed",
+def casimir_force(scene: SceneConfig, target, *, fixed_k=None,
                   truncation_error=True):
     """Force on the target sphere with quadrature + truncation errors,
-    both from one set of frequency evaluations (``_group_forces``)."""
-    t, k = _force_args(scene, target, order)
+    both from one set of frequency evaluations (``_group_forces``).
+    fixed_k=k keeps only the paths with exactly k scattering events."""
+    t, k = _force_args(scene, target, fixed_k)
     force, error, n_freq = _group_forces(
         scene, t, k, [range(len(scene.spheres))], truncation_error)
     expo = 0.0
     if k is not None:
         expo = _path_exponent(scene, t, 1.0 / _decay_scale(scene), k)
     return ForceResult(force=force[0], error=error[0], target=target,
-                       order=str(order), l_max=scene.l_max, n_freq=n_freq,
+                       l_max=scene.l_max, n_freq=n_freq,
                        exponent_scale=float(expo),
                        si_factor=_si_force_factor(scene))
 
@@ -494,7 +489,7 @@ def three_body_force(scene: SceneConfig, target):
     force, error, n_freq = _group_forces(scene, t, None, groups)
     return ForceResult(force=force[0] - force[1] - force[2],
                        error=error.sum(axis=0), target=target,
-                       order="three-body", l_max=scene.l_max,
+                       l_max=scene.l_max,
                        n_freq=n_freq, exponent_scale=0.0,
                        si_factor=_si_force_factor(scene))
 

@@ -29,38 +29,39 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 
+# Fixed parts of every rule: the node increment of the error estimate,
+# the cap on Matsubara terms, and the seed of the zero-frequency
+# extrapolation.
+CHECK_NODES = 8
+N_MATSUBARA_MAX = 2000
+XI_EPS = 1e-3
+
+
 @dataclass(frozen=True)
 class SpectralSettings:
     """How to turn integrands into numbers.
 
-    n_nodes / check_nodes: Gauss-Laguerre size and the increment used
-        for the error estimate; integers >= 1, their sum <= 185.
-    n_matsubara_max / matsubara_tail_tol: summation stop controls.
-    xi_eps: seed for the zero-frequency Richardson extrapolation.
+    n_nodes: Gauss-Laguerre size, an integer from 1 to 185 - CHECK_NODES;
+        the error estimate compares it with n_nodes + CHECK_NODES.
+    matsubara_tail_tol: the Matsubara sum stops once two consecutive
+        terms fall below it relative to the running total.
     """
     n_nodes: int = 40
-    check_nodes: int = 8
-    n_matsubara_max: int = 2000
     matsubara_tail_tol: float = 1e-10
-    xi_eps: float = 1e-3
 
     def __post_init__(self):
-        for name in ("n_nodes", "check_nodes", "n_matsubara_max"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, "
-                                 f"got {value!r}")
         # from 186 nodes on, the largest Gauss-Laguerre node exceeds
         # ln(DBL_MAX) and its weight factor e^u overflows
-        if self.n_nodes + self.check_nodes > 185:
-            raise ValueError("n_nodes + check_nodes must be <= 185")
-        for name in ("matsubara_tail_tol", "xi_eps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {value!r}")
+        value = self.n_nodes
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or not 1 <= value <= 185 - CHECK_NODES):
+            raise ValueError(f"n_nodes must be an integer from 1 to "
+                             f"{185 - CHECK_NODES}, got {value!r}")
+        value = self.matsubara_tail_tol
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0.0 < value < math.inf):
+            raise ValueError(f"matsubara_tail_tol must be finite and "
+                             f"positive, got {value!r}")
 
 
 # (nodes, weights) of the n-node Gauss-Laguerre rule, computed once per
@@ -87,13 +88,13 @@ def integrate_zero_t(f, decay_scale,
         raise ValueError("decay_scale must be positive")
     coarse = _gauss_laguerre_apply(f, decay_scale, settings.n_nodes)
     fine = _gauss_laguerre_apply(f, decay_scale,
-                                 settings.n_nodes + settings.check_nodes)
+                                 settings.n_nodes + CHECK_NODES)
     return fine, np.abs(fine - coarse)
 
 
 def zero_frequency_limit(f, xi_eps):
     """(value, error) for f(0+) by Richardson extrapolation in xi from
-    xi_eps, in practice ``SpectralSettings.xi_eps``.
+    xi_eps, in practice ``XI_EPS``.
 
     Linear extrapolation from (eps, eps/2) refined once; the error is
     the difference between the two extrapolants, which also flags
@@ -111,21 +112,22 @@ def matsubara_sum(f, temperature,
                   settings: SpectralSettings = SpectralSettings()):
     """(value, error, n_used) for 2 pi T~ [f(0+)/2 + sum f(xi_n)].
 
-    f(0+) is ``zero_frequency_limit`` at settings.xi_eps, and half its
+    f(0+) is ``zero_frequency_limit`` at XI_EPS, and half its
     extrapolation error enters the error.  Stops once two consecutive
     terms fall below matsubara_tail_tol relative to the running total,
-    then adds a geometric tail bound to the error.
+    then adds a geometric tail bound to the error; after N_MATSUBARA_MAX
+    terms it stops anyway and the last term becomes the tail bound.
     """
     if not temperature > 0.0:
         raise ValueError("temperature must be positive for a Matsubara sum")
     step = 2.0 * math.pi * temperature
-    f_zero, zero_err = zero_frequency_limit(f, settings.xi_eps)
+    f_zero, zero_err = zero_frequency_limit(f, XI_EPS)
     total = 0.5 * f_zero
     prev_mag = None
     tail = 0.0
     n = 0
     small_in_a_row = 0
-    for n in range(1, settings.n_matsubara_max + 1):
+    for n in range(1, N_MATSUBARA_MAX + 1):
         term = np.asarray(f(step * n), dtype=float)
         total = total + term
         mag = float(np.max(np.abs(term)))
@@ -141,7 +143,7 @@ def matsubara_sum(f, temperature,
             small_in_a_row = 0
         prev_mag = mag if mag > 0 else prev_mag
     else:
-        n = settings.n_matsubara_max
+        n = N_MATSUBARA_MAX
         tail = float(np.max(np.abs(term)))   # did not converge; be honest
     value = step * total
     error = step * (0.5 * zero_err + tail)

@@ -26,7 +26,7 @@ from casphere.basis import BasisSpec
 
 _POOL = ThreadPoolExecutor(max_workers=8)
 MAP = _POOL.map
-FAST = SpectralSettings(n_nodes=24, check_nodes=8)
+FAST = SpectralSettings(n_nodes=24)
 
 
 def verdict(num, name, ok, detail, t0):

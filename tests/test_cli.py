@@ -169,11 +169,13 @@ def _sphere_field(index, key, value):
     (scene_doc(spectral={"n_nodes": 178}), "spectral", []),
     (_nan_drude(scene_doc()), r"spheres\[0\]\.permittivity", []),
     (scene_doc(spectral={"adaptive": True}), "spectral", []),
-    (scene_doc(l_max=3.5), "l_max", []),
-    (scene_doc(), "l_max", ["--lmax", "31"]),
+    # keys removed from SpectralSettings: refused whatever their value
+    (scene_doc(spectral={"check_nodes": 8}), "check_nodes", []),
     (scene_doc(spectral={"n_matsubara_max": 0}, temperature_kelvin=293.0,
                length_unit_m=1e-7), "n_matsubara_max", []),
     (scene_doc(spectral={"xi_eps": -0.001}), "xi_eps", []),
+    (scene_doc(l_max=3.5), "l_max", []),
+    (scene_doc(), "l_max", ["--lmax", "31"]),
     (scene_doc(spectral={"matsubara_tail_tol": float("nan")},
                temperature_kelvin=293.0, length_unit_m=1e-7),
      "matsubara_tail_tol", []),
@@ -188,8 +190,8 @@ def _sphere_field(index, key, value):
     (scene_doc(temperature_kelvin=True, length_unit_m=1e-7),
      "temperature_kelvin", []),
 ], ids=["temperature-nan", "center-nan", "too-many-nodes", "drude-nan",
-        "adaptive-removed", "lmax-fractional", "lmax-over-cap",
-        "matsubara-max-zero", "xi-eps-negative", "tail-tol-nan",
+        "adaptive-removed", "check-nodes-removed", "matsubara-max-zero",
+        "xi-eps-negative", "lmax-fractional", "lmax-over-cap", "tail-tol-nan",
         "nodes-fractional", "nodes-bool", "lmax-bool", "radius-bool",
         "eps-bool", "center-bool", "temperature-bool"])
 def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
@@ -367,7 +369,27 @@ def test_large_n_csv_matches_library(tmp_path):
         want = largen_potential_integral(
             LargeNParams(n=n, alpha_s=0.05, radius=1.0, separation=8.0))
         assert float(row[1]) == pytest.approx(want.magnitude, rel=1e-12)
+        assert float(row[2]) == pytest.approx(
+            want.magnitude * want.log_magnitude_error, rel=1e-12)
         assert float(row[5]) == pytest.approx(want.log_magnitude, rel=1e-12)
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--alpha-s", "0"], 0.0),
+    (["--alpha-s", "0", "--method", "asymptotic"], 0.0),
+    (["--alpha-s", "0.05", "--method", "asymptotic"], math.inf),
+    # |V| underflows to 0, and the Stirling form's error is still unknown
+    (["--alpha-s", "0.05", "--n", "1000", "--method", "asymptotic"],
+     math.inf),
+])
+def test_large_n_error_column_without_a_rounding_bound(tmp_path, args,
+                                                        error):
+    out = tmp_path / "ln.csv"
+    n = [] if "--n" in args else ["--n", "4"]
+    assert main(["large-n", *n, *args, "--separation", "8.0",
+                 "--out", str(out)]) == EXIT_OK
+    _, _, rows = read_csv(out)
+    assert float(rows[0][2]) == error
 
 
 def test_large_n_needs_exactly_one_n(tmp_path, capsys):

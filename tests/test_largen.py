@@ -1,7 +1,10 @@
 """Large-N ring-diagram estimator: exact closed forms and scaling laws."""
 
+import functools
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,7 +62,7 @@ def test_parameters_reject_bad_values_naming_them(field, value):
         params(**{field: value})
 
 
-def _exact_log_magnitude(p):
+def _expanded_log_magnitude(p):
     """ln|V| from the exact moments Int e^{-X} X^j dX = j! of the
     integer polynomial N^2 P(X/N) = 3 X^2 + 6 N X + 6 N^2, raised to N."""
     n = p.n
@@ -77,11 +80,45 @@ def _exact_log_magnitude(p):
             - 2 * n * math.log(n) + math.log(moment))
 
 
+@functools.lru_cache(maxsize=None)
+def _scaled_moment_sum(n):
+    """N^{2N} 6^{-N} Int e^{-X} P(X/N)^N dX as an exact integer.
+
+    With y = X/N the integral is 6^N sum_m a_m N^{-m}, where
+    a_m = m! [y^m] (1 + y + y^2/2)^N.  From y'(1 + y + y^2/2) =
+    N (1 + y) y, a_{m+1} = (N - m) a_m + m (2N - m + 1) a_{m-1} / 2,
+    a_0 = 1, a_1 = N; m (2N - m + 1) is even.
+    """
+    total, a_prev, a = 0, 0, 1
+    for m in range(2 * n + 1):
+        total = total * n + a       # Horner: sum_m a_m N^{2N - m}
+        a_prev, a = a, (n - m) * a + m * (2 * n - m + 1) // 2 * a_prev
+    return total
+
+
+def _exact_log_magnitude(p):
+    """ln|V| in 60-digit arithmetic from ``_scaled_moment_sum``, for the
+    float hop alpha_S (R/s)^3 the production code forms."""
+    n = p.n
+    hop = abs(p.alpha_s) * (p.radius / p.separation) ** 3
+    with mpmath.workdps(60):
+        return (mpmath.loggamma(n) - mpmath.log(mpmath.mpf(n) * p.separation)
+                + n * mpmath.log(6 * mpmath.mpf(hop) / n ** 2)
+                + mpmath.log(_scaled_moment_sum(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 60])
+def test_moment_recurrence_matches_the_expansion(n):
+    p = params(n=n, alpha_s=0.05)
+    assert float(_exact_log_magnitude(p)) == pytest.approx(
+        _expanded_log_magnitude(p), rel=1e-14)
+
+
 @pytest.mark.parametrize("n", [50, 200, 349])
 def test_integral_matches_exact_moment_sum(n):
     p = params(n=n, alpha_s=0.05)
     got = largen_potential_integral(p).log_magnitude
-    assert got == pytest.approx(_exact_log_magnitude(p), rel=1e-13)
+    assert got == pytest.approx(float(_exact_log_magnitude(p)), rel=1e-13)
 
 
 def test_integral_is_bounded_in_n():
@@ -91,12 +128,31 @@ def test_integral_is_bounded_in_n():
         p = params(n=n)
         got = largen_potential_integral(p).log_magnitude
         assert math.isfinite(got)
-        assert got == pytest.approx(_exact_log_magnitude(p), rel=1e-13)
+        assert got == pytest.approx(float(_exact_log_magnitude(p)),
+                                    rel=1e-13)
     # the sum stops near m = 7 N^{2/3}: bounded work where the exact
     # integer sum above is out of reach
     assert math.isfinite(largen_potential_integral(
         params(n=10 ** 5)).log_magnitude)
     assert math.isfinite(largen_asymptotic(params(n=10 ** 6)).log_magnitude)
+
+
+def test_log_magnitude_error_bounds_the_actual_error():
+    # a fixed relative error of |V| would fall short by up to 227x here
+    # (alpha_S = 1e-3, N = 1000), and eps |ln V| by up to 71x
+    used = []
+    for n in [*range(2, 40), 50, 100, 200, 349, 353, 354, 1000]:
+        for alpha_s, separation in itertools.product((1e-3, 0.05, 0.7),
+                                                     (3.0, 8.0)):
+            p = params(n=n, alpha_s=alpha_s, separation=separation)
+            res = largen_potential_integral(p)
+            with mpmath.workdps(60):
+                actual = abs(res.log_magnitude - _exact_log_magnitude(p))
+            assert actual <= res.log_magnitude_error, (n, alpha_s, separation)
+            used.append(float(actual) / res.log_magnitude_error)
+    assert len(used) == 270
+    # a bound, not a blanket: it is not orders of magnitude loose
+    assert max(used) > 0.05
 
 
 def test_negative_strength_gives_the_same_magnitude():

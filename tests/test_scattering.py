@@ -25,13 +25,14 @@ from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  potential_along_path, three_body_energy,
                                  three_body_force)
 from casphere.scattering import _assemble, _energy_rows, _path_exponent
-from casphere.spectral import SpectralSettings, integrate_zero_t, matsubara_sum
+from casphere.spectral import (CHECK_NODES, SpectralSettings, integrate_zero_t,
+                               matsubara_sum)
 from casphere.translation import (KIND_OUTGOING, _gradient_stack,
                                   translation_matrix)
 
 EPS4 = ConstantPermittivity(4.0)
 BASIS2 = BasisSpec(2)
-FAST = SpectralSettings(n_nodes=24, check_nodes=8)
+FAST = SpectralSettings(n_nodes=24)
 
 
 def two_spheres(d=3.0, l_max=3, r1=1.0, r2=1.0, eps=EPS4):
@@ -92,10 +93,10 @@ def test_weak_contrast_keeps_relative_precision():
 def test_resummed_equals_fixed_order_sum():
     sc = two_spheres(d=2.6, l_max=2)
     xi = 0.8
-    res = force_integrand(sc, "b", xi, "resummed")
+    res = force_integrand(sc, "b", xi)
     acc = np.zeros(3)
     for k in range(2, 13):
-        acc += force_integrand(sc, "b", xi, f"fixed({k})")
+        acc += force_integrand(sc, "b", xi, fixed_k=k)
     nrm = np.linalg.norm(_assemble(sc, xi)[0], 2)
     tail = nrm ** 13 / (1.0 - nrm)
     assert np.abs(res - acc).max() < 50.0 * tail + 1e-14
@@ -107,7 +108,7 @@ def test_resummed_equals_fixed_order_sum():
 def test_force_integrand_differentiates_energy_integrand():
     sc = two_spheres(l_max=3)
     xi, h = 0.8, 1e-5
-    an = force_integrand(sc, "b", xi, "resummed")
+    an = force_integrand(sc, "b", xi)
     for axis, dv in ((2, np.array([0.0, 0.0, 1.0])),
                      (0, np.array([1.0, 0.0, 0.0]))):
         def e_of(shift):
@@ -170,10 +171,10 @@ def test_lower_truncation_is_a_principal_submatrix():
 
 def test_truncation_estimate_reuses_the_frequency_evaluations():
     sc = replace(three_spheres(l_max=2), spectral=FAST)
-    for order in ("resummed", "fixed(2)"):
-        res = casimir_force(sc, "c", order=order)
-        bare = casimir_force(sc, "c", order=order, truncation_error=False)
-        lower = casimir_force(replace(sc, l_max=1), "c", order=order,
+    for fixed_k in (None, 2):
+        res = casimir_force(sc, "c", fixed_k=fixed_k)
+        bare = casimir_force(sc, "c", fixed_k=fixed_k, truncation_error=False)
+        lower = casimir_force(replace(sc, l_max=1), "c", fixed_k=fixed_k,
                               truncation_error=False)
         assert np.array_equal(res.force, bare.force)
         assert np.array_equal(res.error,
@@ -193,7 +194,7 @@ def test_n_freq_counts_every_frequency_evaluation(monkeypatch):
     monkeypatch.setattr(scattering, "_assemble", counted)
     sc = replace(two_spheres(l_max=2), spectral=FAST)
     res = casimir_force(sc, "b")
-    assert res.n_freq == 2 * FAST.n_nodes + FAST.check_nodes
+    assert res.n_freq == 2 * FAST.n_nodes + CHECK_NODES
     assert len(calls) == res.n_freq
 
 
@@ -295,7 +296,7 @@ def test_dipole_limit_matches_dyadic_force_law():
                  SphereSpec("b", (0.0, 0.0, d), r,
                             ConstantPermittivity(eps))),
         l_max=1)
-    got = force_integrand(sc, "b", xi, "fixed(2)")[2]
+    got = force_integrand(sc, "b", xi, fixed_k=2)[2]
     # T_1 = (T_1 e^{-2x}) e^{2x}
     alpha = (-1.5 * mie_coefficient(1, 1, xi * r, eps)
              * math.exp(2.0 * xi * r) / xi ** 3)
@@ -377,7 +378,7 @@ def test_fixed_orders_stay_finite_at_small_gaps(d):
         full = casimir_force(sc, "b", truncation_error=False).force
         acc = np.zeros(3)
         for k in (2, 4, 6, 8):
-            part = casimir_force(sc, "b", order=f"fixed({k})",
+            part = casimir_force(sc, "b", fixed_k=k,
                                  truncation_error=False).force
             assert np.all(np.isfinite(part))
             acc += part
@@ -386,7 +387,7 @@ def test_fixed_orders_stay_finite_at_small_gaps(d):
 
 def test_fixed_order_result_reports_exponent_scale():
     sc = two_spheres(d=2.6, l_max=1)
-    res = casimir_force(sc, "b", order="fixed(2)", truncation_error=False)
+    res = casimir_force(sc, "b", fixed_k=2, truncation_error=False)
     # reference frequency 1/(2 min_gap) makes the tracked 2-event
     # exponent -d_center/min_gap
     assert res.exponent_scale == pytest.approx(-2.6 / 0.6, rel=1e-15)
@@ -413,7 +414,6 @@ def test_three_body_force_is_a_correction():
     full = casimir_force(s3, "c", truncation_error=False).force
     pair_sum = full - tb.force
     assert np.abs(tb.force).max() < 0.05 * np.abs(pair_sum).max()
-    assert tb.order == "three-body"
 
 
 def test_three_body_energy_decomposition():
@@ -468,7 +468,7 @@ def test_three_body_makes_one_assembly_per_frequency(monkeypatch):
     monkeypatch.setattr(scattering, "_assemble", counted)
     s3 = replace(three_spheres(), spectral=FAST)
     _, _, n_freq = three_body_energy(s3)
-    assert n_freq == len(calls) == 2 * FAST.n_nodes + FAST.check_nodes
+    assert n_freq == len(calls) == 2 * FAST.n_nodes + CHECK_NODES
     calls.clear()
     assert three_body_force(s3, "a").n_freq == len(calls) == n_freq
 
@@ -481,7 +481,7 @@ def test_shared_nodes_cancel_quadrature_error_in_the_remainder():
                  SphereSpec("b", (2.3, 0.0, 0.0), 1.0, EPS4),
                  SphereSpec("c", (1.1, 4.6, 0.4), 0.7, EPS4)), l_max=2)
     ref, _, _ = three_body_energy(replace(
-        s3, spectral=SpectralSettings(n_nodes=112, check_nodes=8)))
+        s3, spectral=SpectralSettings(n_nodes=112)))
     v3, _, _ = three_body_energy(s3)
     assert abs(v3 - ref) < 5e-3 * abs(ref)
 
@@ -656,7 +656,7 @@ NAN, INF = float("nan"), float("inf")
     (lambda: SceneConfig(spheres=two_spheres().spheres, background=1.0),
      "background"),
     (lambda: SceneConfig(spheres=two_spheres().spheres,
-                         spectral={"xi_eps": 1e-3}), "spectral"),
+                         spectral={"n_nodes": 40}), "spectral"),
 ], ids=["center-nan", "center-inf", "radius-nan", "radius-inf", "eps-nan",
         "eps-inf", "temperature-nan", "length-unit-nan", "drude-nan",
         "drude-two-entries", "drude-negative-amplitude",
@@ -684,10 +684,6 @@ def test_evaluation_argument_errors(monkeypatch):
     sc = two_spheres(l_max=1)
     with pytest.raises(ValueError):
         force_integrand(sc, "b", 0.0)
-    with pytest.raises(ValueError):
-        force_integrand(sc, "b", 1.0, "fixed(1)")
-    with pytest.raises(ValueError):
-        force_integrand(sc, "b", 1.0, "cubic")
     with pytest.raises(KeyError):
         force_integrand(sc, "nope", 1.0)
     import casphere.scattering as scattering
@@ -698,19 +694,19 @@ def test_evaluation_argument_errors(monkeypatch):
         return mie_diag(*args, **kwargs)
 
     monkeypatch.setattr(scattering, "mie_diag", counted)
-    for bad in ("cubic", "fixed(1)", "fixed:", "fixed:2", "fixed(2",
-                "fixed(k)"):
-        with pytest.raises(ValueError):
-            casimir_force(sc, "b", order=bad)
-    assert calls == []
-    with pytest.raises(TypeError):
-        interaction_energy(sc, order="fixed(2)")
+    # a fixed order has one spelling, the keyword fixed_k
+    routes = (lambda **kw: casimir_force(sc, "b", **kw),
+              lambda **kw: force_integrand(sc, "b", 1.0, **kw),
+              lambda **kw: interaction_energy(sc, **kw))
+    for route in routes:
+        for bad in (1, 0, 2.5, "3", True):
+            with pytest.raises(ValueError, match="fixed_k"):
+                route(fixed_k=bad)
+        with pytest.raises(TypeError):
+            route(order="fixed(2)")
     lone = SceneConfig(spheres=(SphereSpec("a", (0, 0, 0), 1.0, EPS4),))
     with pytest.raises(ValueError):
         casimir_force(lone, "a")
-    for bad in (1, 0, 2.5, "3", True):
-        with pytest.raises(ValueError, match="fixed_k"):
-            interaction_energy(sc, fixed_k=bad)
     assert calls == []
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from casphere.spectral import (SpectralSettings, _gauss_laguerre,
-                               integrate_zero_t, matsubara_sum,
-                               zero_frequency_limit)
+import casphere.spectral as spectral
+from casphere.spectral import (CHECK_NODES, XI_EPS, SpectralSettings,
+                               _gauss_laguerre, integrate_zero_t,
+                               matsubara_sum, zero_frequency_limit)
 
 
 def test_zero_integrand():
@@ -36,14 +37,15 @@ def test_gamma_integrand():
 
 def test_settings_validate_node_counts():
     # 185 nodes in all is the largest rule whose weights stay finite
-    widest = SpectralSettings(n_nodes=177, check_nodes=8)
+    widest = SpectralSettings(n_nodes=185 - CHECK_NODES)
     val, _ = integrate_zero_t(lambda xi: math.exp(-xi), 1.0, widest)
     assert val == pytest.approx(1.0, rel=1e-12)
-    for field, value in (("n_nodes", 178), ("n_nodes", 0),
-                         ("check_nodes", 0)):
-        with pytest.raises(ValueError, match=field):
-            SpectralSettings(**{field: value})
-    for removed in ("temperature", "adaptive", "rel_tol"):
+    for value in (186 - CHECK_NODES, 0):
+        with pytest.raises(ValueError, match="n_nodes"):
+            SpectralSettings(n_nodes=value)
+    # the rule's fixed parts are module constants, not settings
+    for removed in ("temperature", "adaptive", "rel_tol", "check_nodes",
+                    "n_matsubara_max", "xi_eps"):
         with pytest.raises(TypeError):
             SpectralSettings(**{removed: 0})
 
@@ -55,18 +57,22 @@ def test_settings_validate_node_counts():
     ("n_matsubara_max", True),
     ("matsubara_tail_tol", math.nan), ("matsubara_tail_tol", 0.0),
     ("matsubara_tail_tol", -1e-10), ("matsubara_tail_tol", math.inf),
+    ("matsubara_tail_tol", True),
     ("xi_eps", -1e-3), ("xi_eps", 0.0), ("xi_eps", math.nan),
     ("xi_eps", math.inf), ("xi_eps", True),
 ])
 def test_settings_reject_bad_fields_naming_them(field, value):
-    with pytest.raises(ValueError, match=field):
+    # a removed field is refused as an unknown keyword, whatever its value
+    removed = field in ("check_nodes", "n_matsubara_max", "xi_eps")
+    with pytest.raises(TypeError if removed else ValueError, match=field):
         SpectralSettings(**{field: value})
 
 
 def test_settings_accept_numpy_scalars():
-    s = SpectralSettings(n_nodes=np.int64(24), n_matsubara_max=np.int32(5),
-                         matsubara_tail_tol=np.float64(1e-8), xi_eps=1)
-    assert (s.n_nodes, s.n_matsubara_max, s.xi_eps) == (24, 5, 1)
+    s = SpectralSettings(n_nodes=np.int64(24),
+                         matsubara_tail_tol=np.float64(1e-8))
+    assert (s.n_nodes, s.matsubara_tail_tol) == (24, 1e-8)
+    assert SpectralSettings(matsubara_tail_tol=1).matsubara_tail_tol == 1
 
 
 def test_vector_integrand():
@@ -151,17 +157,17 @@ def test_matsubara_requires_positive_temperature():
         matsubara_sum(lambda xi: 0.0, 0.0)
 
 
-def test_matsubara_f_zero_weight():
+def test_matsubara_f_zero_weight(monkeypatch):
     # the n = 0 term is zero_frequency_limit's f(0+) with weight
     # 2 pi T~ / 2; cap the sum length so the adaptive stop cannot
     # shorten the sum
     t = 0.013
     f = lambda xi: math.exp(-3.0 * xi)
-    settings = SpectralSettings(n_matsubara_max=30)
-    val, _, n = matsubara_sum(f, t, settings)
+    monkeypatch.setattr(spectral, "N_MATSUBARA_MAX", 30)
+    val, _, n = matsubara_sum(f, t)
     assert n == 30
     step = 2.0 * math.pi * t
-    f_zero, _ = zero_frequency_limit(f, settings.xi_eps)
+    f_zero, _ = zero_frequency_limit(f, XI_EPS)
     want = step * (0.5 * f_zero + sum(f(step * k) for k in range(1, 31)))
     assert val == pytest.approx(want, rel=1e-12)
 
@@ -178,8 +184,8 @@ def test_matsubara_approaches_integral_at_low_temperature():
     assert s_val == pytest.approx(i_val, rel=5e-3)
 
 
-def test_matsubara_flags_unconverged_tail():
-    settings = SpectralSettings(n_matsubara_max=40)
-    val, err, n = matsubara_sum(lambda xi: 1.0 / (1.0 + xi), 0.05, settings)
+def test_matsubara_flags_unconverged_tail(monkeypatch):
+    monkeypatch.setattr(spectral, "N_MATSUBARA_MAX", 40)
+    val, err, n = matsubara_sum(lambda xi: 1.0 / (1.0 + xi), 0.05)
     assert n == 40
     assert err > 0.0

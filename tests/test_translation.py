@@ -197,7 +197,7 @@ def test_production_never_builds_the_gaunt_tables(monkeypatch):
 
     for name in ("_build_tables", "_series", "sph_harm"):
         monkeypatch.setattr(tr, name, oracle_only)
-    fast = SpectralSettings(n_nodes=12, check_nodes=4)
+    fast = SpectralSettings(n_nodes=12)
     eps = ConstantPermittivity(2.6)
     pair = SceneConfig(spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, eps),
                                 SphereSpec("b", (0.3, -0.4, 3.5), 1.0, eps)),
