@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from casphere import (ConstantPermittivity, SceneConfig, SphereSpec,
-                      interaction_energy, potential_along_path)
+                      interaction_energy, target_potential)
 
 R = 0.01
 EPS = ConstantPermittivity(1.01)
@@ -40,15 +40,14 @@ for d in (0.5, 1.0, 2.0):
     print(f"{d/R:5.0f}  {e / e_dip:.6f}")
 
 # --- potential along a path ----------------------------------------------
-# potential_along_path evaluates, at every sample, the energy of the
-# scene minus the energy of the scene without the target, so the
-# samples are independent.  For retarded dipoles the log-slope of V
-# against separation should come out near -7.
-path = np.zeros((40, 3))
-path[:, 2] = np.geomspace(0.5, 2.0, 40)
-res = potential_along_path(pair(0.5), "b", path)
-slope = np.polyfit(np.log(res.separations), np.log(-res.potential), 1)[0]
+# target_potential evaluates the energy of a scene minus the energy of
+# the scene without the target, so each sample of the path is its own
+# scene.  For retarded dipoles the log-slope of V against separation
+# should come out near -7.
+seps = np.geomspace(0.5, 2.0, 40)
+pot = np.array([target_potential(pair(s), "b")[0] for s in seps])
+slope = np.polyfit(np.log(seps), np.log(-pot), 1)[0]
 print(f"\nlog-slope of V over the path = {slope:.4f} (retarded dipole: -7)")
 print("s      V (hbar c / L0)")
 for i in (0, 13, 26, 39):
-    print(f"{res.separations[i]:.3f}  {res.potential[i]: .3e}")
+    print(f"{seps[i]:.3f}  {pot[i]: .3e}")

@@ -18,11 +18,11 @@ from .largen import (DEFAULT_A_BAR, CrosscheckReport, LargeNParams,
 from .mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                   PermittivityModel, TabulatedPermittivity, mie_coefficient,
                   mie_diag)
-from .scattering import (ForceResult, PotentialResult, SceneConfig,
-                         SphereSpec, casimir_force, energy_integrand,
-                         force_integrand, interaction_energy,
-                         logdet_energy_oracle, potential_along_path,
-                         three_body_energy, three_body_force)
+from .scattering import (ForceResult, SceneConfig, SphereSpec,
+                         casimir_force, energy_integrand, force_integrand,
+                         interaction_energy, logdet_energy_oracle,
+                         target_potential, three_body_energy,
+                         three_body_force)
 from .spectral import (SpectralSettings, integrate_zero_t, matsubara_sum,
                        zero_frequency_limit)
 from .translation import translation_gradient, translation_matrix
@@ -35,9 +35,9 @@ __all__ = [
     "ring_scene",
     "ConstantPermittivity", "DrudeLorentzPermittivity", "PermittivityModel",
     "TabulatedPermittivity", "mie_coefficient", "mie_diag",
-    "ForceResult", "PotentialResult", "SceneConfig", "SphereSpec",
+    "ForceResult", "SceneConfig", "SphereSpec",
     "casimir_force", "energy_integrand", "force_integrand",
-    "interaction_energy", "logdet_energy_oracle", "potential_along_path",
+    "interaction_energy", "logdet_energy_oracle", "target_potential",
     "three_body_energy", "three_body_force",
     "SpectralSettings", "integrate_zero_t", "matsubara_sum",
     "zero_frequency_limit",

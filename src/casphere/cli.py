@@ -25,12 +25,15 @@ Permittivity models: ``constant`` (eps), ``drude-lorentz``
 frequency unit), ``tabulated`` (xi, eps arrays, log-linear
 interpolation).
 
+A ``--sweep`` moves one sphere along one axis (``sweep_points``); each
+point is a scene of its own for ``force``, ``potential``, ``three-body``.
 CSV columns are fixed: sweep parameter, F_x, F_y, F_z (or V),
 error_estimate, L_max, n_freq, exponent_scale.  Header comments echo
 every input needed to reproduce a row.  Potential-type values (``V``
 column) are written in units of hbar c / 4 pi.  ``large-n`` writes |V|
 in hbar c, with |V| times a rounding bound on ln|V| as its error (inf
-for ``--method asymptotic``, whose normalization is unresolved).
+for ``--method asymptotic``, whose normalization is unresolved); |V| is
+inf only past the largest double.
 
 Exit codes: 0 success; 2 scene/sweep validation; 3 numerical flag
 (non-finite result, error estimate dominating the value, gradient
@@ -43,7 +46,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from . import __version__
 from .mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                   TabulatedPermittivity)
 from .scattering import (SceneConfig, SphereSpec, casimir_force,
-                         interaction_energy, potential_along_path,
+                         interaction_energy, target_potential,
                          three_body_energy, three_body_force)
 from .spectral import SpectralSettings
 
@@ -66,6 +69,8 @@ _FORCE_COLUMNS = ("sweep_param", "F_x", "F_y", "F_z", "error_estimate",
                   "L_max", "n_freq", "exponent_scale")
 _SCALAR_COLUMNS = ("sweep_param", "V", "error_estimate",
                    "L_max", "n_freq", "exponent_scale")
+_FOUR_PI = 4.0 * math.pi   # V is written in hbar c / 4 pi
+_DOMINATES = "error estimate dominates at least one row"
 
 
 class SceneParseError(ValueError):
@@ -187,56 +192,40 @@ def load_scene(path):
 
 # ---------------------------------------------------------------- sweeps
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Move one sphere along an axis: label:axis:start:stop:n[:log]."""
-    label: str
-    axis: str
-    start: float
-    stop: float
-    n_points: int
-    spacing: str
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError(f"sweep axis must be x, y or z, got {self.axis!r}")
-        if not self.start < self.stop:
-            raise ValueError("sweep needs start < stop")
-        if self.n_points < 2:
-            raise ValueError("sweep needs n_points >= 2")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"sweep spacing must be linear or log, "
-                             f"got {self.spacing!r}")
-        if self.spacing == "log" and self.start <= 0.0:
-            raise ValueError("log spacing needs start > 0")
-
-    def values(self):
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.n_points)
-        return np.linspace(self.start, self.stop, self.n_points)
-
-
-def parse_sweep(text):
+def sweep_points(scene, text):
+    """[(param, scene with one sphere moved)] along the --sweep text
+    label:axis:start:stop:n_points[:spacing]; the whole path is
+    checked before it is returned, and every message names --sweep."""
     parts = text.split(":")
     if len(parts) not in (5, 6):
         raise ValueError(
-            "sweep syntax: label:axis:start:stop:n_points[:spacing]")
-    spacing = parts[5] if len(parts) == 6 else "linear"
-    return SweepSpec(label=parts[0], axis=parts[1], start=float(parts[2]),
-                     stop=float(parts[3]), n_points=int(parts[4]),
-                     spacing=spacing)
-
-
-def sweep_scenes(scene, sweep):
-    """[(param, scene_with_moved_sphere)]; validates the whole path."""
-    idx = scene.index_of(sweep.label)
-    base = scene.spheres[idx].center_array
-    axis = "xyz".index(sweep.axis)
+            "--sweep syntax: label:axis:start:stop:n_points[:spacing]")
+    label, axis, start, stop, n_points, spacing = (parts + ["linear"])[:6]
+    try:
+        start, stop, n_points = float(start), float(stop), int(n_points)
+    except ValueError:
+        raise ValueError("--sweep needs numbers for start and stop and an "
+                         f"integer n_points, got {text!r}") from None
+    for bad, needs in (
+            (not math.isfinite(stop - start),
+             "a finite start, stop and stop - start"),
+            (axis not in ("x", "y", "z"), f"axis x, y or z, got {axis!r}"),
+            (not start < stop, "start < stop"),
+            (n_points < 2, "n_points >= 2"),
+            (spacing not in ("linear", "log"),
+             f"spacing linear or log, got {spacing!r}"),
+            (spacing == "log" and start <= 0.0, "start > 0 for log spacing"),
+            (label not in [s.label for s in scene.spheres],
+             f"the label of a sphere, got {label!r}")):
+        if bad:
+            raise ValueError(f"--sweep needs {needs}")
+    space = np.geomspace if spacing == "log" else np.linspace
+    base = scene.spheres[scene.index_of(label)].center_array
     out = []
-    for value in sweep.values():
+    for value in space(start, stop, n_points):
         center = base.copy()
-        center[axis] = value
-        out.append((float(value), scene.moved(sweep.label, center)))
+        center["xyz".index(axis)] = value
+        out.append((float(value), scene.moved(label, center)))
     return out
 
 
@@ -283,14 +272,6 @@ def _flagged(value, error):
 
 # ------------------------------------------------------------ subcommands
 
-def _apply_overrides(scene, args):
-    if getattr(args, "lmax", None) is not None:
-        scene = replace(scene, l_max=args.lmax)
-    if getattr(args, "temperature", None) is not None:
-        scene = replace(scene, temperature_kelvin=args.temperature)
-    return scene
-
-
 def _parse_order(text):
     """fixed_k for --order: None for 'resummed', else k in 2..4."""
     if text == "resummed":
@@ -314,19 +295,37 @@ def _gradient_audit(scene, rel_tol=1e-6):
     return worst, worst <= rel_tol
 
 
-def _sweep_points(args):
-    """(scene, [(param, scene)]) along --sweep, or the scene alone at 0."""
-    scene = _apply_overrides(load_scene(args.scene), args)
+def _points(args):
+    """(scene, [(param, scene)]): the scene file with --lmax and
+    --temperature applied, and its --sweep points or itself at 0."""
+    scene = load_scene(args.scene)
+    if args.lmax is not None:
+        scene = replace(scene, l_max=args.lmax)
+    if args.temperature is not None:
+        scene = replace(scene, temperature_kelvin=args.temperature)
     if args.sweep:
-        return scene, sweep_scenes(scene, parse_sweep(args.sweep))
+        return scene, sweep_points(scene, args.sweep)
     return scene, [(0.0, scene)]
 
 
+def _emit(args, scene, columns, rows, flag):
+    """Write the CSV, then exit 3 with the flag's message when it is set."""
+    _write_rows(args.out, _echo_comments(args, scene), columns, rows)
+    if flag:
+        print(f"numerical flag: {flag}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
+
+
+def _force_row(param, res):
+    return (param, *(float(f) for f in res.force), float(np.max(res.error)),
+            res.l_max, res.n_freq, res.exponent_scale)
+
+
 def run_force(args):
-    scene, points = _sweep_points(args)
+    scene, points = _points(args)
     fixed_k = _parse_order(args.order)
-    rows = []
-    any_flagged = False
+    rows, flagged = [], False
     for param, sc in points:
         if args.verify_gradient:
             worst, ok = _gradient_audit(sc)
@@ -335,69 +334,43 @@ def run_force(args):
                       f"max rel error {worst:.2e}", file=sys.stderr)
                 return EXIT_NUMERICAL
         res = casimir_force(sc, args.target, fixed_k=fixed_k)
-        err = float(np.max(res.error))
-        any_flagged |= _flagged(res.force, res.error)
-        rows.append((param, float(res.force[0]), float(res.force[1]),
-                     float(res.force[2]), err, res.l_max, res.n_freq,
-                     res.exponent_scale))
-    _write_rows(args.out, _echo_comments(args, scene), _FORCE_COLUMNS, rows)
-    if any_flagged:
-        print("numerical flag: error estimate dominates at least one row",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        flagged |= _flagged(res.force, res.error)
+        rows.append(_force_row(param, res))
+    return _emit(args, scene, _FORCE_COLUMNS, rows,
+                 _DOMINATES if flagged else None)
 
 
 def run_potential(args):
-    sweep = parse_sweep(args.sweep)
-    if sweep.label != args.target:
+    label = args.sweep.split(":")[0]
+    if label != args.target:
         raise ValueError(f"potential moves the target: --sweep label "
-                         f"{sweep.label!r} is not --target {args.target!r}")
-    scene = _apply_overrides(load_scene(args.scene), args)
-    points = sweep_scenes(scene, sweep)
-    positions = [sc.spheres[sc.index_of(args.target)].center_array
-                 for _, sc in points]
-    res = potential_along_path(scene, args.target, positions)
-    four_pi = 4.0 * math.pi
-    rows = []
-    for i, (param, _) in enumerate(points):
-        rows.append((param, res.potential[i] * four_pi,
-                     res.error[i] * four_pi, res.l_max,
-                     res.n_freq_points[i], 0.0))
-    _write_rows(args.out, _echo_comments(args, scene), _SCALAR_COLUMNS, rows)
-    if _flagged(res.potential, res.error):
-        print("numerical flag: error estimate dominates at least one row",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+                         f"{label!r} is not --target {args.target!r}")
+    scene, points = _points(args)
+    res = [target_potential(sc, args.target) for _, sc in points]
+    rows = [(param, v * _FOUR_PI, err * _FOUR_PI, sc.l_max, n_freq, 0.0)
+            for (param, sc), (v, err, n_freq) in zip(points, res)]
+    # one flag over the whole sweep's values and errors
+    v, err, _ = np.array(res).T
+    return _emit(args, scene, _SCALAR_COLUMNS, rows,
+                 _DOMINATES if _flagged(v, err) else None)
 
 
 def run_three_body(args):
-    scene, points = _sweep_points(args)
-    rows = []
-    any_flagged = False
-    if args.quantity == "force":
-        for param, sc in points:
+    scene, points = _points(args)
+    rows, flagged = [], False
+    for param, sc in points:
+        if args.quantity == "force":
             res = three_body_force(sc, args.target)
-            any_flagged |= not np.all(np.isfinite(res.force))
-            rows.append((param, float(res.force[0]), float(res.force[1]),
-                         float(res.force[2]), float(np.max(res.error)),
-                         res.l_max, res.n_freq, res.exponent_scale))
-        columns = _FORCE_COLUMNS
-    else:
-        four_pi = 4.0 * math.pi
-        for param, sc in points:
+            flagged |= not np.all(np.isfinite(res.force))
+            rows.append(_force_row(param, res))
+        else:
             val, err, n_freq = three_body_energy(sc)
-            any_flagged |= not math.isfinite(val)
-            rows.append((param, val * four_pi, err * four_pi,
-                         sc.l_max, n_freq, 0.0))
-        columns = _SCALAR_COLUMNS
-    _write_rows(args.out, _echo_comments(args, scene), columns, rows)
-    if any_flagged:
-        print("numerical flag: non-finite three-body result",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+            flagged |= not math.isfinite(val)
+            rows.append((param, val * _FOUR_PI, err * _FOUR_PI, sc.l_max,
+                         n_freq, 0.0))
+    columns = _FORCE_COLUMNS if args.quantity == "force" else _SCALAR_COLUMNS
+    return _emit(args, scene, columns, rows,
+                 "non-finite three-body result" if flagged else None)
 
 
 def run_large_n(args):
@@ -419,12 +392,11 @@ def run_large_n(args):
             res = largen_asymptotic(params)
         else:
             res = largen_potential_integral(params)
-        mag = res.magnitude if res.log_magnitude < 700.0 else math.inf
         # |V| times the bound on the error of ln|V|: rounding for the
         # integral, inf for the Stirling form, 0 when alpha_S = 0
         err = res.log_magnitude_error
-        err = mag * err if math.isfinite(err) else math.inf
-        rows.append((float(n), mag, err, 1, 0, res.log_magnitude))
+        err = res.magnitude * err if math.isfinite(err) else math.inf
+        rows.append((float(n), res.magnitude, err, 1, 0, res.log_magnitude))
     comments = [f"casphere {__version__}",
                 f"large-n method={args.method} alpha_s={args.alpha_s} "
                 f"radius={args.radius} separation={args.separation}",

@@ -77,16 +77,19 @@ class LargeNResult:
     the overall sign left to the caller.  log_magnitude_error bounds the
     absolute error of log_magnitude: rounding for the integral, inf for
     the Stirling form (its O(1)^N normalization is not resolved), 0 when
-    alpha_S = 0 makes the magnitude exactly 0.
+    alpha_S = 0 makes the magnitude exactly 0.  magnitude is inf past
+    the largest double.
     """
     log_magnitude: float
     log_magnitude_error: float
     parity: int
-    n: int
 
     @property
     def magnitude(self):
-        return math.exp(self.log_magnitude)
+        try:
+            return math.exp(self.log_magnitude)
+        except OverflowError:
+            return math.inf
 
 
 def derive_a_bar():
@@ -142,7 +145,7 @@ def largen_potential_integral(params: LargeNParams):
     n = params.n
     if params.alpha_s == 0.0:
         return LargeNResult(log_magnitude=-math.inf, log_magnitude_error=0.0,
-                            parity=(-1) ** n, n=n)
+                            parity=(-1) ** n)
     hop_scale = abs(params.alpha_s) * (params.radius / params.separation) ** 3
     if hop_scale == 0.0:
         raise ValueError("alpha_s (R/s)^3 underflows; use --method asymptotic")
@@ -172,7 +175,7 @@ def largen_potential_integral(params: LargeNParams):
     return LargeNResult(log_magnitude=log_mag,
                         log_magnitude_error=float(
                             2.0 * np.finfo(float).eps * scale),
-                        parity=(-1) ** n, n=n)
+                        parity=(-1) ** n)
 
 
 def largen_asymptotic(params: LargeNParams):
@@ -182,13 +185,13 @@ def largen_asymptotic(params: LargeNParams):
         raise ValueError("the Stirling form needs N >= 3")
     if params.alpha_s == 0.0:
         return LargeNResult(log_magnitude=-math.inf, log_magnitude_error=0.0,
-                            parity=(-1) ** n, n=n)
+                            parity=(-1) ** n)
     log_mag = (-n - 3.0 * math.log(n)
                + n * math.log(abs(params.coupling))
                + 3.0 * n * math.log(params.radius)
                - (1.0 + 3.0 * n) * math.log(params.separation))
     return LargeNResult(log_magnitude=log_mag, log_magnitude_error=math.inf,
-                        parity=(-1) ** n, n=n)
+                        parity=(-1) ** n)
 
 
 # ------------------------------------------------------------ crosscheck

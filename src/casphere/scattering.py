@@ -15,7 +15,9 @@ The interaction energy and the force on sphere t are
 geometric series over closed scattering paths; ``fixed_k=k`` keeps paths
 with exactly k scattering events, tr[M^{k-1} dM], the order-by-order
 structure that the three-body decomposition and the large-N estimator
-sample.
+sample.  Every result is asked of one scene: a force, an energy, the
+potential of one sphere relative to infinity (E minus E without it) or
+a three-body remainder; a path of positions is a loop over scenes.
 
 Units: lengths are in an arbitrary common unit L0, frequencies in
 c/L0, energies in hbar c / L0, forces in hbar c / L0^2.  When
@@ -186,29 +188,6 @@ class ForceResult:
         if self.si_factor == 0.0:
             raise ValueError("set length_unit_m on the scene for SI output")
         return self.force * self.si_factor
-
-
-@dataclass(frozen=True)
-class PotentialResult:
-    """Interaction potential along a path, hbar c / L0 scene units.
-
-    potential is relative to the target at infinity: at each sample,
-    E(scene) - E(scene without the target).  separations are distances
-    from the mean center of the other spheres; error adds the quadrature
-    estimate and |V - V(l_max - 1)|.  Plots are often drawn in the
-    hbar c / 4 pi unit, provided as potential_4pi.
-    """
-    separations: np.ndarray
-    potential: np.ndarray
-    error: np.ndarray
-    target: str
-    l_max: int
-    n_freq: int
-    n_freq_points: np.ndarray
-
-    @property
-    def potential_4pi(self):
-        return self.potential * (4.0 * math.pi)
 
 
 # ------------------------------------------------------ frequency assembly
@@ -471,7 +450,7 @@ def casimir_force(scene: SceneConfig, target, *, fixed_k=None,
 def interaction_energy(scene: SceneConfig, *, fixed_k=None):
     """(energy, error, n_freq) in hbar c / L0; ln-det route.  The error
     is the quadrature estimate only: unlike ``casimir_force`` and
-    ``potential_along_path`` it has no |E(l_max) - E(l_max - 1)| term."""
+    ``target_potential`` it has no |E(l_max) - E(l_max - 1)| term."""
     if len(scene.spheres) < 2:
         raise ValueError("interaction energy needs at least two spheres")
     k = None if fixed_k is None else _scattering_events(fixed_k, "fixed_k")
@@ -512,34 +491,20 @@ def three_body_energy(scene: SceneConfig):
     return float(val[0] - val[1:].sum()), float(err.sum()), n_freq
 
 
-def potential_along_path(scene: SceneConfig, target, positions):
-    """Potential of the target at each of positions, (n, 3) centers.
+def target_potential(scene: SceneConfig, target):
+    """(V, error, n_freq) of the target relative to infinity, hbar c / L0.
 
-    Every point is one quadrature of the row difference E_all - E_others
-    (``_energy_rows`` over ``_subsets``), with its l_max - 1 cut for the
-    truncation estimate, so the points are independent of each other.
+    V = E(scene) - E(scene without the target), one quadrature of the
+    row difference (``_energy_rows`` over ``_subsets``); the error adds
+    the quadrature estimate and |V - V(l_max - 1)|, as for forces.
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if pos.shape[0] == 0:
-        raise ValueError("empty path")
     if len(scene.spheres) < 2:
         raise ValueError("potential needs at least two spheres")
     t = scene.index_of(target)
     others = [i for i in range(len(scene.spheres)) if i != t]
-    ref = np.mean([scene.spheres[i].center_array for i in others], axis=0)
-    lower = scene.l_max >= 2
-    subsets = _subsets(scene, [range(len(scene.spheres)), others], lower)
-    pot, err, counts = [], [], []
-    for p in pos:
-        sc = scene.moved(target, p)
-        # rows [V] or [V, V(l_max - 1)]: the all-sphere half minus the rest
-        val, qerr, n_freq = _spectral_value(sc, lambda xi: np.subtract(
-            *np.split(_energy_rows(sc, xi, None, subsets), 2)))
-        pot.append(val[0])
-        err.append(qerr[0] + abs(val[0] - val[-1]))
-        counts.append(n_freq)
-    counts = np.array(counts)
-    return PotentialResult(separations=np.linalg.norm(pos - ref, axis=1),
-                           potential=np.array(pot), error=np.array(err),
-                           target=target, l_max=scene.l_max,
-                           n_freq=int(counts.sum()), n_freq_points=counts)
+    subsets = _subsets(scene, [range(len(scene.spheres)), others],
+                       scene.l_max >= 2)
+    # rows [V] or [V, V(l_max - 1)]: the all-sphere half minus the rest
+    val, qerr, n_freq = _spectral_value(scene, lambda xi: np.subtract(
+        *np.split(_energy_rows(scene, xi, None, subsets), 2)))
+    return float(val[0]), float(qerr[0] + abs(val[0] - val[-1])), n_freq

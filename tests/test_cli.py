@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import casphere
-from casphere.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SceneParseError,
-                          main, parse_scene, parse_sweep, sweep_scenes)
+import casphere.translation
+from casphere import cli
+from casphere.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                          SceneParseError, main, parse_scene, sweep_points)
 from casphere.largen import LargeNParams, largen_potential_integral
 from casphere.mie import DrudeLorentzPermittivity
-from casphere.scattering import interaction_energy, three_body_energy
+from casphere.scattering import (ForceResult, interaction_energy,
+                                 three_body_energy)
 
 
 def scene_doc(n_spheres=2, l_max=1, d=3.5, **extra):
@@ -100,25 +103,37 @@ def test_parse_scene_permittivity_models():
     assert parse_scene(doc) == scene and hash(parse_scene(doc)) == hash(scene)
 
 
-def test_parse_sweep():
-    sw = parse_sweep("b:z:3.0:8.0:11")
-    assert (sw.label, sw.axis, sw.n_points, sw.spacing) == ("b", "z", 11,
-                                                            "linear")
-    assert parse_sweep("b:z:3.0:8.0:11:log").spacing == "log"
-    assert np.allclose(parse_sweep("b:z:2:8:4:log").values(),
-                       np.geomspace(2, 8, 4))
-    for bad in ("b:w:3:8:11", "b:z:8:3:11", "b:z:3:8:1", "b:z:3:8:4:fancy",
-                "b:z:3:8", "b:z:-1:8:4:log"):
-        with pytest.raises(ValueError):
-            parse_sweep(bad)
-
-
-def test_sweep_scenes_moves_one_sphere():
+def test_parse_sweep(tmp_path, capsys):
     scene = parse_scene(scene_doc())
-    points = sweep_scenes(scene, parse_sweep("b:z:3.0:5.0:3"))
+    points = sweep_points(scene, "b:z:3.0:8.0:11")
+    assert [p for p, _ in points] == list(np.linspace(3.0, 8.0, 11))
+    assert [sc.spheres[1].center[2] for _, sc in points] == \
+        [p for p, _ in points]
+    for text in ("b:z:3.0:8.0:11:log", "b:z:2.5:8:4:log"):
+        start, stop, n = (float(v) for v in text.split(":")[2:5])
+        assert [p for p, _ in sweep_points(scene, text)] == \
+            list(np.geomspace(start, stop, int(n)))
+    path = scene_file(tmp_path, scene_doc())
+    for bad in ("b:w:3:8:11", "b:z:8:3:11", "b:z:3:8:1", "b:z:3:8:4:fancy",
+                "b:z:3:8", "b:z:-1:8:4:log", "q:z:3:8:4",
+                # refused at the boundary, not by numpy or int()
+                "b:z:3:inf:2", "b:z:nan:6:2", "b:z:3:6:x", "b:z:3:6:2.0",
+                "b:z:-1e308:1e308:2"):
+        with pytest.raises(ValueError, match="--sweep"):
+            sweep_points(scene, bad)
+        assert main(["force", "--scene", path, "--target", "b",
+                     "--sweep", bad]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --sweep"), (bad, err)
+
+
+def test_sweep_points_moves_one_sphere():
+    scene = parse_scene(scene_doc())
+    points = sweep_points(scene, "b:z:3.0:5.0:3")
     assert [p for p, _ in points] == [3.0, 4.0, 5.0]
     assert points[2][1].spheres[1].center == (0.0, 0.0, 5.0)
     assert points[2][1].spheres[0].center == scene.spheres[0].center
+    assert all(sc == scene.moved("b", (0.0, 0.0, p)) for p, sc in points)
 
 
 # ------------------------------------------------------------ exit codes
@@ -230,6 +245,62 @@ def test_potential_requires_sweep(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, value, error", [("force", 3, 4),
+                                                   ("potential", 1, 2)])
+def test_dominating_error_exits_3_after_writing_every_row(
+        tmp_path, capsys, command, value, error):
+    # l_max 2 on 24 nodes: |V - V(l_max - 1)| and |F - F(l_max - 1)| pass
+    # half the value at both gaps (error/|F_z| 0.80, 0.57; error/|V|
+    # 0.75, 0.49, so the potential flags on its sweep-wide maxima)
+    path = scene_file(tmp_path, scene_doc(l_max=2, spectral={"n_nodes": 24}))
+    out = tmp_path / "flagged.csv"
+    code = main([command, "--scene", path, "--target", "b",
+                 "--sweep", "b:z:2.05:3:2", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical flag: error estimate dominates at least one row\n")
+    _, _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [2.05, 3.0]
+    assert float(rows[0][error]) > 0.5 * abs(float(rows[0][value]))
+
+
+@pytest.mark.parametrize("quantity", ["potential", "force"])
+def test_non_finite_three_body_exits_3(tmp_path, capsys, monkeypatch,
+                                       quantity):
+    def force(scene, target):
+        return ForceResult(force=np.full(3, math.nan), error=np.zeros(3),
+                           target=target, l_max=scene.l_max, n_freq=1,
+                           exponent_scale=0.0, si_factor=0.0)
+
+    monkeypatch.setattr(cli, "three_body_energy",
+                        lambda scene: (math.nan, 0.0, 1))
+    monkeypatch.setattr(cli, "three_body_force", force)
+    path = scene_file(tmp_path, scene_doc(n_spheres=3))
+    out = tmp_path / "v3.csv"
+    code = main(["three-body", "--scene", path, "--target", "a",
+                 "--quantity", quantity, "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical flag: non-finite three-body result\n")
+    _, _, rows = read_csv(out)
+    assert rows[0][1] == "nan"
+
+
+def test_failed_gradient_audit_exits_3_without_a_csv(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(casphere.translation, "gradient_fd_check",
+                        lambda *args: 1e-3)
+    path = scene_file(tmp_path, scene_doc())
+    out = tmp_path / "audited.csv"
+    code = main(["force", "--scene", path, "--target", "b",
+                 "--verify-gradient", "--sweep", "b:z:3:4:2",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "gradient audit failed at sweep=3.0: max rel error 1.00e-03\n")
+    assert not out.exists()
+
+
 def test_potential_sweep_must_move_the_target(tmp_path, capsys):
     # the potential of b along a path of a would be V(b) at b's fixed
     # center on every row
@@ -332,8 +403,7 @@ def test_potential_sweep_csv(tmp_path):
     v = np.array([float(r[1]) for r in rows])
     assert np.all(v < 0.0) and np.all(np.diff(v) > 0.0)
     assert not any("tail" in c for c in comments)
-    points = sweep_scenes(parse_scene(scene_doc()),
-                          parse_sweep("b:z:3.5:9.0:12:log"))
+    points = sweep_points(parse_scene(scene_doc()), "b:z:3.5:9.0:12:log")
     for cell, (_, sc) in zip(v, points):
         want, _, _ = interaction_energy(sc)
         assert cell == pytest.approx(4.0 * math.pi * want, rel=1e-12)
@@ -355,6 +425,22 @@ def test_three_body_csv(tmp_path):
     two = scene_file(tmp_path, scene_doc(), name="two.json")
     assert main(["three-body", "--scene", two,
                  "--target", "a"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--target", "b", "--sweep", "b:z:3:4:2"],
+    ["three-body", "--target", "c", "--sweep", "c:x:3.5:4:2"],
+])
+def test_sweep_bytes_repeat(tmp_path, argv):
+    path = scene_file(tmp_path, scene_doc(n_spheres=3))
+    runs = []
+    for name in ("first.csv", "second.csv"):
+        out = tmp_path / name
+        assert main([argv[0], "--scene", path, *argv[1:],
+                     "--out", str(out)]) == EXIT_OK
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+    assert len(read_csv(tmp_path / "first.csv")[2]) == 2
 
 
 def test_large_n_csv_matches_library(tmp_path):
@@ -390,6 +476,27 @@ def test_large_n_error_column_without_a_rounding_bound(tmp_path, args,
                  "--out", str(out)]) == EXIT_OK
     _, _, rows = read_csv(out)
     assert float(rows[0][2]) == error
+
+
+def test_large_n_writes_every_finite_magnitude(tmp_path):
+    out = tmp_path / "ln.csv"
+
+    def row(alpha_s):
+        assert main(["large-n", "--n", "2", "--alpha-s", alpha_s,
+                     "--separation", "3", "--out", str(out)]) == EXIT_OK
+        res = largen_potential_integral(LargeNParams(
+            n=2, alpha_s=float(alpha_s), radius=1.0, separation=3.0))
+        return res, [float(v) for v in read_csv(out)[2][0]]
+
+    # ln|V| = 702.1: past a cut at 700, inside the doubles (709.78)
+    res, cells = row("1.6e153")
+    assert 700.0 < res.log_magnitude < math.log(np.finfo(float).max)
+    assert math.isfinite(cells[1]) and cells[1] == res.magnitude
+    assert cells[2] == res.magnitude * res.log_magnitude_error
+    # ln|V| = 1401: |V| is no double, and magnitude says so without raising
+    res, cells = row("1e305")
+    assert res.log_magnitude > 1400.0 and res.magnitude == math.inf
+    assert cells[1] == cells[2] == math.inf
 
 
 def test_large_n_needs_exactly_one_n(tmp_path, capsys):
