@@ -225,7 +225,11 @@ def sweep_points(scene, text):
     for value in space(start, stop, n_points):
         center = base.copy()
         center["xyz".index(axis)] = value
-        out.append((float(value), scene.moved(label, center)))
+        try:
+            out.append((float(value), scene.moved(label, center)))
+        except ValueError as exc:
+            raise ValueError(f"--sweep point {label}:{axis}={value:g}: "
+                             f"{exc}") from None
     return out
 
 
@@ -274,12 +278,11 @@ def _flagged(value, error):
 
 def _parse_order(text):
     """fixed_k for --order: None for 'resummed', else k in 2..4."""
-    if text == "resummed":
-        return None
-    k = int(text)
-    if not 2 <= k <= 4:
-        raise ValueError("fixed order must be 2, 3 or 4")
-    return k
+    choices = ("resummed", "2", "3", "4")
+    if text not in choices:
+        raise ValueError(f"--order must be one of {', '.join(choices)}, "
+                         f"got {text!r}")
+    return None if text == "resummed" else int(text)
 
 
 def _gradient_audit(scene, rel_tol=1e-6):

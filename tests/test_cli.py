@@ -161,6 +161,15 @@ def test_overlapping_scene_is_validation_error(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_sweep_into_overlap_names_the_point(tmp_path, capsys):
+    path = scene_file(tmp_path, scene_doc())
+    assert main(["force", "--scene", path, "--target", "b",
+                 "--sweep", "b:z:1:3:2"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: --sweep point b:z=1: "), err
+    assert "overlap" in err
+
+
 def _nan_center(doc):
     doc["spheres"][1]["center"] = [0.0, 0.0, float("nan")]
     return doc
@@ -225,10 +234,14 @@ def test_unknown_target_is_validation_error(tmp_path, capsys):
                  "--target", "zz"]) == EXIT_VALIDATION
 
 
-def test_bad_order_is_validation_error(tmp_path):
+def test_bad_order_is_validation_error(tmp_path, capsys):
     path = scene_file(tmp_path, scene_doc())
-    assert main(["force", "--scene", path, "--target", "b",
-                 "--order", "7"]) == EXIT_VALIDATION
+    for bad in ("7", "5", "x", "1"):
+        assert main(["force", "--scene", path, "--target", "b",
+                     "--order", bad]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --order"), (bad, err)
+        assert "resummed, 2, 3, 4" in err
 
 
 def test_version_flag(capsys):

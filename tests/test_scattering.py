@@ -273,17 +273,97 @@ def test_assembly_computes_one_mie_vector_per_distinct_sphere(
         seen.clear()
         m = scattering._assemble(sc, xi, target=1)[0]
         assert len(seen) == calls
-        # block (i, j) is (T_i / lbal) A^{i<-j} (lbal e^{-kappa gap}),
-        # with A^{1<-0} the parity mirror of A^{0<-1}
-        lbal = scattering._l_balance_vec(sc.basis, xi, min(1.0, r2))
-        cols = lbal * math.exp(-xi * (3.0 - 1.0 - r2))
+        # block (i, j) is (s_i h_i) A^{i<-j} (h_j e^{-kappa gap}), with
+        # h = sqrt|T~|, s = sign T~ and A^{1<-0} the parity mirror of
+        # A^{0<-1}
+        tt = [mie_diag(sc.basis, xi * s.radius, 4.0) for s in sc.spheres]
+        h = [np.sqrt(np.abs(t)) for t in tt]
+        decay = math.exp(-xi * (3.0 - 1.0 - r2))
         a01 = translation_matrix(sc.basis, KIND_OUTGOING, xi,
                                  [0.0, 0.0, -3.0])
         a10 = np.outer(par, par) * a01
-        for i, (s, a) in enumerate(zip(sc.spheres, (a01, a10))):
-            want = mie_diag(sc.basis, xi * s.radius, 4.0)
+        for i, a in enumerate((a01, a10)):
             got = m[i * ds:(i + 1) * ds, (1 - i) * ds:(2 - i) * ds]
-            assert np.array_equal(got, (want / lbal)[:, None] * a * cols)
+            want = ((np.sign(tt[i]) * h[i])[:, None] * a
+                    * (h[1 - i] * decay))
+            assert np.array_equal(got, want)
+
+
+def _blocks(scene, spheres):
+    ds = scene.basis.size
+    return np.concatenate([np.arange(i * ds, (i + 1) * ds) for i in spheres])
+
+
+def test_pair_block_of_a_triangle_is_the_pair_matrix():
+    # unequal radii: no scene-wide reference length enters a pair's blocks
+    tri = three_spheres(l_max=2)
+    for xi in (0.05, 0.3, 1.7):
+        m_all = _assemble(tri, xi)[0]
+        m_t, dm_t = _assemble(tri, xi, target=2)
+        for i, j in itertools.combinations(range(3), 2):
+            pair = replace(tri, spheres=(tri.spheres[i], tri.spheres[j]))
+            idx = _blocks(tri, (i, j))
+            assert np.array_equal(m_all[np.ix_(idx, idx)],
+                                  _assemble(pair, xi)[0])
+            if j == 2:
+                m, dm = _assemble(pair, xi, target=1)
+                assert np.array_equal(m_t[np.ix_(idx, idx)], m)
+                assert np.array_equal(dm_t[:, idx[:, None], idx], dm)
+
+
+def _thermal_triangle():
+    gold = DrudeLorentzPermittivity(((1.88e32, 0.0, 5.3e13),))
+    silica = DrudeLorentzPermittivity(((1.1 * 2e16 ** 2, 2e16, 0.0),))
+    return SceneConfig(
+        spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, gold),
+                 SphereSpec("b", (3.7, 0.0, 0.0), 0.8, silica),
+                 SphereSpec("c", (1.4, 3.1, 0.6), 0.6,
+                            ConstantPermittivity(2.6))),
+        l_max=3, temperature_kelvin=293.0, length_unit_m=1e-7)
+
+
+def test_round_trip_matrix_is_symmetric_for_same_sign_contrasts():
+    off_axis = SceneConfig(
+        spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0, EPS4),
+                 SphereSpec("b", (0.7, -0.4, 2.9), 0.8,
+                            ConstantPermittivity(10.0))), l_max=3)
+    thermal = _thermal_triangle()
+    matsubara = 2.0 * math.pi * thermal.reduced_temperature
+    for sc, xi in ((three_spheres(l_max=3), 0.4), (off_axis, 0.05),
+                   (off_axis, 2.0), (thermal, matsubara),
+                   (thermal, 7 * matsubara)):
+        m, dm = _assemble(sc, xi, target=1)
+        assert np.abs(m - m.T).max() <= 1e-13 * np.abs(m).max()
+        assert (np.abs(dm - dm.transpose(0, 2, 1)).max()
+                <= 1e-13 * np.abs(dm).max())
+
+
+def test_round_trip_matrix_stays_well_conditioned_at_high_l_max():
+    # eps 2.6 unit pair, gap 0.5 R: a scale with a reference length
+    # lets |M| and cond(1 - M) grow with l here
+    eps = ConstantPermittivity(2.6)
+    sc = two_spheres(d=2.5, l_max=8, eps=eps)
+    for xi in (0.01, 1.0):
+        m = _assemble(sc, xi)[0]
+        assert np.abs(m).max() < 0.05
+        assert np.linalg.cond(np.eye(m.shape[0]) - m) <= 1.2
+
+
+def test_mixed_sign_contrasts_keep_the_energy():
+    # eps 1.5 | background 2 | eps 4: the Mie signs differ between the
+    # spheres, so the round-trip matrix is a similarity but not symmetric
+    sc = SceneConfig(
+        spheres=(SphereSpec("a", (0.0, 0.0, 0.0), 1.0,
+                            ConstantPermittivity(1.5)),
+                 SphereSpec("b", (0.0, 0.0, 4.0), 1.0, EPS4)),
+        background=ConstantPermittivity(2.0), l_max=3)
+    for xi in (0.02, 0.3, 1.5):
+        m = _assemble(sc, xi)[0]
+        assert np.abs(m - m.T).max() > 1e-3 * np.abs(m).max()
+        e = energy_integrand(sc, xi)
+        assert e > 0.0
+        assert e == pytest.approx(logdet_energy_oracle(sc, xi) / (2 * math.pi),
+                                  rel=1e-12)
 
 
 def test_dipole_limit_matches_dyadic_force_law():
