@@ -300,8 +300,13 @@ def _gradient_audit(scene, rel_tol=1e-6):
 
 def _points(args):
     """(scene, [(param, scene)]): the scene file with --lmax and
-    --temperature applied, and its --sweep points or itself at 0."""
+    --temperature applied, and its --sweep points or itself at 0;
+    a --target that names no sphere of the scene is refused."""
     scene = load_scene(args.scene)
+    labels = [s.label for s in scene.spheres]
+    if args.target not in labels:
+        raise ValueError(f"--target needs the label of a sphere "
+                         f"({', '.join(labels)}), got {args.target!r}")
     if args.lmax is not None:
         scene = replace(scene, l_max=args.lmax)
     if args.temperature is not None:
@@ -344,11 +349,11 @@ def run_force(args):
 
 
 def run_potential(args):
+    scene, points = _points(args)
     label = args.sweep.split(":")[0]
     if label != args.target:
         raise ValueError(f"potential moves the target: --sweep label "
                          f"{label!r} is not --target {args.target!r}")
-    scene, points = _points(args)
     res = [target_potential(sc, args.target) for _, sc in points]
     rows = [(param, v * _FOUR_PI, err * _FOUR_PI, sc.l_max, n_freq, 0.0)
             for (param, sc), (v, err, n_freq) in zip(points, res)]
@@ -485,11 +490,10 @@ def run_selfcheck(args):
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p, target=True, sweep_required=False):
+def _add_common(p, sweep_required=False):
     p.add_argument("--scene", required=True, help="scene JSON file")
-    if target:
-        p.add_argument("--target", required=True,
-                       help="label of the sphere the result refers to")
+    p.add_argument("--target", required=True,
+                   help="label of the sphere the result refers to")
     p.add_argument("--sweep", required=sweep_required, default=None,
                    help="label:axis:start:stop:n_points[:spacing]")
     p.add_argument("--lmax", type=int, default=None,

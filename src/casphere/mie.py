@@ -13,6 +13,14 @@ eps_rel = eps_s / eps_B:
     T^TM_l = [i_l(x_B) S_l'(x_s) - eps_rel S_l'(x_B) i_l(x_s)]
            / [eps_rel E_l'(x_B) i_l(x_s) - e_l(x_B) S_l'(x_s)]
 
+The TE numerator is evaluated as i_l(x_B) i_l(x_s) x_B [rho_l(x_B) -
+sqrt(eps_rel) rho_l(x_s)] with rho_l = i_{l+1} / i_l, from
+S_l'(z) = i_l(z) [(l + 1) + z rho_l(z)].  The (l + 1) terms of the two
+products drop out analytically instead of cancelling in floating point,
+so TE keeps full precision at small x.  As eps_rel -> 1, TE and TM
+still lose about 1e-16 / (eps_rel - 1) relative: sqrt(eps_rel) and
+the TE bracket are rounded near 1, and TM's (l + 1) terms cancel.
+
 Both vanish identically at eps_rel = 1 and behave like x^{2l+1} for
 small x; T^TM_1 ~ -(2/3) x^3 (eps_rel - 1)/(eps_rel + 2) identifies
 -(3/2) T^TM_1 / x^3 with the normalized dipole polarizability.
@@ -119,7 +127,7 @@ def mie_diag(basis: BasisSpec, x, eps_rel):
     with entries T e^{-2x}.
 
     The Riccati values are computed once for l = 1..l_max and shared by
-    TE and TM.
+    TE and TM; the regular tables run to l_max + 1 for the TE ratios.
     """
     if not x > 0.0:
         raise ValueError("x = n_B xi R must be positive")
@@ -127,12 +135,15 @@ def mie_diag(basis: BasisSpec, x, eps_rel):
         raise ValueError("relative permittivity must be positive")
     if eps_rel == 1.0:
         return np.zeros(basis.size)
-    l = np.arange(1, basis.l_max + 1)
-    # i_l, S_l' scaled by e^{-x}; e_l, E_l' by e^{+x}
-    ib, spb = riccati_ik(RadialKind.REGULAR, l, x)
-    is_, sps = riccati_ik(RadialKind.REGULAR, l, math.sqrt(eps_rel) * x)
+    n = math.sqrt(eps_rel)
+    l, up = np.arange(1, basis.l_max + 1), np.arange(1, basis.l_max + 2)
+    # i_l, S_l' scaled by e^{-x} up to l_max + 1; e_l, E_l' by e^{+x}
+    ib, spb = riccati_ik(RadialKind.REGULAR, up, x)
+    is_, sps = riccati_ik(RadialKind.REGULAR, up, n * x)
     eb, epb = riccati_ik(RadialKind.OUTGOING, l, x)
+    rb, rs = ib[1:] / ib[:-1], is_[1:] / is_[:-1]   # rho_l = i_{l+1} / i_l
+    ib, spb, is_, sps = ib[:-1], spb[:-1], is_[:-1], sps[:-1]
     # common scale e^{x+xs} in numerators, e^{-x+xs} in denominators
-    t_te = (spb * is_ - ib * sps) / (eb * sps - epb * is_)
+    t_te = ib * is_ * x * (rb - n * rs) / (eb * sps - epb * is_)
     t_tm = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
     return np.repeat(np.concatenate([t_te, t_tm]), np.tile(2 * l + 1, 2))

@@ -33,6 +33,12 @@ any scene, and it is symmetric when every eps_rel - 1 has one sign.
 Determinants and traces are similarity-invariant, so the energy, the
 resummed force, every fixed order and the l_max - 1 truncation estimate
 are read from these arrays, at any gap.
+
+One pipeline gives every result.  ``_integrate`` assembles M (and dM)
+once per frequency, hands it to a pure row reduction (``_energy_rows``,
+``_force_rows``) over principal submatrices (``_subsets``: one per
+sphere group and its l_max - 1 cut), integrates the rows, counts
+n_freq and adds the truncation terms; each result combines its rows.
 """
 
 import itertools
@@ -266,7 +272,7 @@ def logdet_energy_oracle(scene: SceneConfig, xi):
     return float(logabs)
 
 
-def _subsets(scene: SceneConfig, groups, lower=False):
+def _subsets(scene: SceneConfig, groups, lower):
     """Index arrays into M: a row per sphere group, then its l < l_max
     cut if lower; None reads all of M in place.  T is diagonal in l, and
     a block involves only its two spheres, so these principal submatrices
@@ -287,9 +293,9 @@ def _principal(a, s):
     return a if s is None else a.take(s, -2).take(s, -1)
 
 
-def _energy_rows(scene: SceneConfig, xi, k, subsets):
-    """ln det(1 - M) / 2 pi per row of ``_subsets`` for k None, else
-    the k-event term -tr[M^k] / (2 pi k).
+def _energy_rows(m, k, subsets):
+    """ln det(1 - M) / 2 pi per row of ``_subsets`` of the assembled m
+    for k None, else the k-event term -tr[M^k] / (2 pi k).
 
     sum log(1 - lam) is taken as 0.5 log1p(|lam|^2 - 2 Re lam), which
     does not round the coupling away by forming 1 - M, but the sum still
@@ -298,7 +304,6 @@ def _energy_rows(scene: SceneConfig, xi, k, subsets):
     eps - 1 = 1e-2 and 1.3e-7 at 1e-6.  A row that is exactly zero, such
     as a one-sphere group (M_ii = 0), has ln det 0 without ``eigvals``.
     """
-    m = _assemble(scene, xi)[0]
     rows = []
     for s in subsets:
         ms = _principal(m, s)
@@ -312,44 +317,38 @@ def _energy_rows(scene: SceneConfig, xi, k, subsets):
         lam = np.linalg.eigvals(ms)
         q = lam.real ** 2 + lam.imag ** 2 - 2.0 * lam.real   # |1-lam|^2 - 1
         if np.any(q <= -1.0):
-            raise RuntimeError(
-                f"det(1 - M) not positive at xi={xi:g}; passive scatterers "
-                "cannot do this - check the scene")
+            raise RuntimeError("det(1 - M) not positive; passive scatterers "
+                               "cannot do this - check the scene")
         rows.append(0.5 * float(np.sum(np.log1p(q))) / _TWO_PI)
     return np.array(rows)
 
 
 def energy_integrand(scene: SceneConfig, xi):
     """ln det(1 - M) / 2 pi, via eigenvalues of M."""
-    return float(_energy_rows(scene, xi, None, [None])[0])
+    return float(_energy_rows(_assemble(scene, xi)[0], None, [None])[0])
 
 
-def _scattering_events(k, name):
-    """k as an int >= 2; raises ValueError naming the argument."""
-    if not isinstance(k, numbers.Integral) or k < 2:
-        raise ValueError(f"{name} must be an integer number of scattering "
+def _fixed_k(k):
+    """fixed_k as None (resummed) or an int >= 2; raises ValueError."""
+    if k is not None and (not isinstance(k, numbers.Integral) or k < 2):
+        raise ValueError("fixed_k must be an integer number of scattering "
                          f"events >= 2, got {k!r}")
-    return int(k)
+    return None if k is None else int(k)
 
 
 # ------------------------------------------------------------------ force
 
 def _force_args(scene: SceneConfig, target, fixed_k):
-    """(target index, k): k is None for the resummed force, else fixed_k.
-    Raises on a bad argument before any evaluation."""
+    """(target index, k), checked before any evaluation."""
     if len(scene.spheres) < 2:
         raise ValueError("force needs at least two spheres")
-    t = scene.index_of(target)
-    return t, (None if fixed_k is None
-               else _scattering_events(fixed_k, "fixed_k"))
+    return scene.index_of(target), _fixed_k(fixed_k)
 
 
-def _force_rows(scene: SceneConfig, t, xi, k, subsets):
+def _force_rows(m, dm, k, subsets):
     """(len(subsets), 3) force integrands tr[X dM/dr_t] / 2 pi, one per
-    row of ``_subsets``, with X = (1 - M)^{-1} for the resummed order
-    (k None) and M^{k-1} for fixed k.
-    """
-    m, dm = _assemble(scene, xi, t)
+    row of ``_subsets`` of the assembled (m, dm), with X = (1 - M)^{-1}
+    for the resummed order (k None) and M^{k-1} for fixed k."""
     rows = []
     for s in subsets:
         ms = _principal(m, s)
@@ -380,7 +379,8 @@ def _path_exponent(scene: SceneConfig, t, xi, k):
 def force_integrand(scene: SceneConfig, target, xi, *, fixed_k=None):
     """(3,) force integrand; F = Int_0^inf (T=0) or Matsubara-summed."""
     t, k = _force_args(scene, target, fixed_k)
-    return _force_rows(scene, t, xi, k, [None])[0]
+    m, dm = _assemble(scene, xi, t)
+    return _force_rows(m, dm, k, [None])[0]
 
 
 # --------------------------------------------------------------- spectral
@@ -391,21 +391,33 @@ def _decay_scale(scene: SceneConfig):
     return 2.0 * math.sqrt(eps_b) * scene.min_gap
 
 
-def _spectral_value(scene: SceneConfig, f):
-    """(value, error, n_freq) for Int f d xi or its Matsubara sum."""
-    count = {"n": 0}
+def _integrate(scene: SceneConfig, rows, target, groups, truncation):
+    """(value, error, n_freq) of the rows(m, dm, subsets) integrand.
 
-    def counted(xi):
-        count["n"] += 1
-        return f(xi)
+    The only quadrature: each frequency is one ``_assemble`` (with
+    dm = dM/dr_target unless target is None) and one rows call over
+    ``_subsets(scene, groups, lower)``.  With lower (truncation and
+    l_max >= 2), rows returns each row followed by its l_max - 1 cut,
+    and the cut's |v - v(l_max - 1)| joins the row's quadrature error.
+    """
+    lower = truncation and scene.l_max >= 2
+    subsets = _subsets(scene, groups, lower)
+    n_freq = 0
+
+    def f(xi):
+        nonlocal n_freq
+        n_freq += 1
+        m, dm = _assemble(scene, xi, target)
+        return rows(m, dm, subsets)
 
     t_red = scene.reduced_temperature
     if t_red == 0.0:
-        val, err = integrate_zero_t(counted, _decay_scale(scene),
-                                    scene.spectral)
+        val, err = integrate_zero_t(f, _decay_scale(scene), scene.spectral)
     else:
-        val, err, _ = matsubara_sum(counted, t_red, scene.spectral)
-    return val, err, count["n"]
+        val, err, _ = matsubara_sum(f, t_red, scene.spectral)
+    if lower:
+        val, err = val[::2], err[::2] + np.abs(val[::2] - val[1::2])
+    return val, err, n_freq
 
 
 def _si_force_factor(scene: SceneConfig):
@@ -414,33 +426,19 @@ def _si_force_factor(scene: SceneConfig):
     return HBAR_C / scene.length_unit_m ** 2
 
 
-def _group_forces(scene: SceneConfig, t, k, groups, truncation_error=True):
-    """(force, error, n_freq) on sphere t, a (3,) row per sphere group,
-    from one quadrature; the error adds each group's truncation estimate
-    |F(l_max) - F(l_max - 1)|, read from its l_max - 1 row."""
-    lower = truncation_error and scene.l_max >= 2
-    subsets = _subsets(scene, groups, lower)
-    val, qerr, n_freq = _spectral_value(
-        scene, lambda xi: _force_rows(scene, t, xi, k, subsets))
-    if not lower:
-        return val, qerr, n_freq
-    return val[::2], qerr[::2] + np.abs(val[::2] - val[1::2]), n_freq
-
-
 def casimir_force(scene: SceneConfig, target, *, fixed_k=None,
                   truncation_error=True):
     """Force on the target sphere with quadrature + truncation errors,
-    both from one set of frequency evaluations (``_group_forces``).
+    both from one set of frequency evaluations (``_integrate``).
     fixed_k=k keeps only the paths with exactly k scattering events."""
     t, k = _force_args(scene, target, fixed_k)
-    force, error, n_freq = _group_forces(
-        scene, t, k, [range(len(scene.spheres))], truncation_error)
-    expo = 0.0
-    if k is not None:
-        expo = _path_exponent(scene, t, 1.0 / _decay_scale(scene), k)
+    force, error, n_freq = _integrate(
+        scene, lambda m, dm, s: _force_rows(m, dm, k, s), t,
+        [range(len(scene.spheres))], truncation_error)
+    expo = 0.0 if k is None else _path_exponent(
+        scene, t, 1.0 / _decay_scale(scene), k)
     return ForceResult(force=force[0], error=error[0], target=target,
-                       l_max=scene.l_max, n_freq=n_freq,
-                       exponent_scale=float(expo),
+                       l_max=scene.l_max, n_freq=n_freq, exponent_scale=expo,
                        si_factor=_si_force_factor(scene))
 
 
@@ -450,23 +448,25 @@ def interaction_energy(scene: SceneConfig, *, fixed_k=None):
     ``target_potential`` it has no |E(l_max) - E(l_max - 1)| term."""
     if len(scene.spheres) < 2:
         raise ValueError("interaction energy needs at least two spheres")
-    k = None if fixed_k is None else _scattering_events(fixed_k, "fixed_k")
-    val, err, n_freq = _spectral_value(
-        scene, lambda xi: _energy_rows(scene, xi, k, [None]))
+    k = _fixed_k(fixed_k)
+    val, err, n_freq = _integrate(
+        scene, lambda m, dm, s: _energy_rows(m, k, s), None,
+        [range(len(scene.spheres))], False)
     return float(val[0]), float(err[0]), n_freq
 
 
 def three_body_force(scene: SceneConfig, target):
-    """F(target | other two) minus the two pair forces, same settings."""
+    """F(target | other two) minus the two pair forces, same settings;
+    the error sums the three rows' errors."""
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
     t = scene.index_of(target)
     groups = [range(3)] + [(t, j) for j in range(3) if j != t]
-    force, error, n_freq = _group_forces(scene, t, None, groups)
+    force, error, n_freq = _integrate(
+        scene, lambda m, dm, s: _force_rows(m, dm, None, s), t, groups, True)
     return ForceResult(force=force[0] - force[1] - force[2],
                        error=error.sum(axis=0), target=target,
-                       l_max=scene.l_max,
-                       n_freq=n_freq, exponent_scale=0.0,
+                       l_max=scene.l_max, n_freq=n_freq, exponent_scale=0.0,
                        si_factor=_si_force_factor(scene))
 
 
@@ -482,26 +482,26 @@ def three_body_energy(scene: SceneConfig):
     """
     if len(scene.spheres) != 3:
         raise ValueError("three-body decomposition needs exactly 3 spheres")
-    subsets = _subsets(scene, [range(3), (0, 1), (0, 2), (1, 2)])
-    val, err, n_freq = _spectral_value(
-        scene, lambda xi: _energy_rows(scene, xi, None, subsets))
+    val, err, n_freq = _integrate(
+        scene, lambda m, dm, s: _energy_rows(m, None, s), None,
+        [range(3), (0, 1), (0, 2), (1, 2)], False)
     return float(val[0] - val[1:].sum()), float(err.sum()), n_freq
 
 
 def target_potential(scene: SceneConfig, target):
     """(V, error, n_freq) of the target relative to infinity, hbar c / L0.
 
-    V = E(scene) - E(scene without the target), one quadrature of the
-    row difference (``_energy_rows`` over ``_subsets``); the error adds
-    the quadrature estimate and |V - V(l_max - 1)|, as for forces.
+    V = E(scene) - E(scene without the target): the two energy rows are
+    subtracted at each frequency, so one quadrature integrates V, and
+    the error adds |V - V(l_max - 1)|, as for forces.
     """
     if len(scene.spheres) < 2:
         raise ValueError("potential needs at least two spheres")
     t = scene.index_of(target)
     others = [i for i in range(len(scene.spheres)) if i != t]
-    subsets = _subsets(scene, [range(len(scene.spheres)), others],
-                       scene.l_max >= 2)
-    # rows [V] or [V, V(l_max - 1)]: the all-sphere half minus the rest
-    val, qerr, n_freq = _spectral_value(scene, lambda xi: np.subtract(
-        *np.split(_energy_rows(scene, xi, None, subsets), 2)))
-    return float(val[0]), float(qerr[0] + abs(val[0] - val[-1])), n_freq
+    # [E, E(l_max - 1)] - [E_others, E_others(l_max - 1)], no cuts at 1
+    val, err, n_freq = _integrate(
+        scene, lambda m, dm, s: np.subtract(*np.split(
+            _energy_rows(m, None, s), 2)), None,
+        [range(len(scene.spheres)), others], True)
+    return float(val[0]), float(err[0]), n_freq

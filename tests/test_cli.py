@@ -229,9 +229,18 @@ def test_invalid_scene_value_exit_code_names_the_field(tmp_path, capsys,
 
 
 def test_unknown_target_is_validation_error(tmp_path, capsys):
-    path = scene_file(tmp_path, scene_doc())
-    assert main(["force", "--scene", path,
-                 "--target", "zz"]) == EXIT_VALIDATION
+    # refused once the scene is loaded, before any evaluation, naming the
+    # option and the scene's labels; three-body potential never reads it
+    path = scene_file(tmp_path, scene_doc(n_spheres=3))
+    out = tmp_path / "none.csv"
+    for argv in (["force"], ["potential", "--sweep", "zz:z:4:5:2"],
+                 ["three-body"], ["three-body", "--quantity", "force"]):
+        assert main([argv[0], "--scene", path, "--target", "zz", *argv[1:],
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: --target needs the label of a sphere "
+            "(a, b, c), got 'zz'\n"), argv
+    assert not out.exists()
 
 
 def test_bad_order_is_validation_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ dipole laws are closed forms.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -129,19 +130,22 @@ def test_diag_is_m_degenerate():
 
 def _t_one_order(pol, l, x, eps_rel, scaled):
     """T_{pol,l} from scalar Riccati calls, one (pol, l) at a time: the
-    loop that ``mie_diag`` replaced, kept as its reference."""
+    loop that ``mie_diag`` replaced, kept as its reference.  TE takes
+    the ratio form with rho_l = i_{l+1} / i_l."""
     if eps_rel == 1.0:
         return 0.0
+    n = math.sqrt(eps_rel)
 
     def pair(arg):
         zi, spi = riccati_ik("i", l, arg)
         ze, spe = riccati_ik("e", l, arg)
-        return (float(zi), float(spi)), (float(ze), float(spe))
+        rho = float(riccati_ik("i", l + 1, arg)[0]) / float(zi)
+        return (float(zi), float(spi), rho), (float(ze), float(spe))
 
-    (ib, spb), (eb, epb) = pair(x)
-    (is_, sps), _ = pair(math.sqrt(eps_rel) * x)
+    (ib, spb, rb), (eb, epb) = pair(x)
+    (is_, sps, rs), _ = pair(n * x)
     if pol == POL_TE:
-        t = (spb * is_ - ib * sps) / (eb * sps - epb * is_)
+        t = ib * is_ * x * (rb - n * rs) / (eb * sps - epb * is_)
     else:
         t = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
     return t if scaled else t * math.exp(2.0 * x)
@@ -157,6 +161,65 @@ def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
                      for pol, l, _ in basis.labels()])
     got = mie_diag(basis, x, eps)
     assert np.array_equal(got if scaled else got * math.exp(2.0 * x), want)
+
+
+def _te_mpmath(l, x, eps_rel):
+    """T^TE_l e^{-2x} at 50 digits, from the defining ratio of Bessel
+    functions with S_l' = i_l + x (i_{l-1} - (l+1)/x i_l)."""
+    with mpmath.workdps(50):
+        x, n = mpmath.mpf(x), mpmath.sqrt(mpmath.mpf(eps_rel))
+
+        def i(order, z):
+            return mpmath.sqrt(mpmath.pi / (2 * z)) \
+                * mpmath.besseli(order + 0.5, z)
+
+        def e(order, z):
+            return (-1) ** order * mpmath.sqrt(2 / (mpmath.pi * z)) \
+                * mpmath.besselk(order + 0.5, z)
+
+        def sp(f, z):
+            return f(l, z) + z * (f(l - 1, z) - (l + 1) / z * f(l, z))
+
+        num = sp(i, x) * i(l, n * x) - i(l, x) * sp(i, n * x)
+        den = e(l, x) * sp(i, n * x) - sp(e, x) * i(l, n * x)
+        return num / den * mpmath.exp(-2 * x)
+
+
+@pytest.mark.parametrize("eps, tol", [(2.6, 2e-15), (1.01, 2e-13)])
+def test_te_numerator_keeps_precision_at_small_x(eps, tol):
+    # S_l'(x) i_l(nx) - i_l(x) S_l'(nx) cancels its (l + 1) terms; the
+    # ratio form i_l(x) i_l(nx) x [rho_l(x) - n rho_l(nx)] does not (the
+    # cancelling form was off by up to 1.6e-7 at eps 2.6, 4.1e-5 at 1.01)
+    basis = BasisSpec(8)
+    for x in (7.5e-3, 2.5e-4):
+        diag = mie_diag(basis, x, eps)
+        for l in (1, 4, 8):
+            want = _te_mpmath(l, x, eps)
+            got = diag[basis.index(POL_TE, l, 0)]
+            assert abs((got - want) / want) < tol, (x, l)
+
+
+def test_te_survives_nearly_transparent_spheres():
+    # at eps - 1 = 1e-10 the cancelling form rounded 7 of these 15 TE
+    # entries to 0; what is left is the 1e-16 / (eps - 1) loss of
+    # forming sqrt(eps) and rho_l(x) - n rho_l(nx) near eps = 1
+    basis = BasisSpec(3)
+    eps = 1.0 + 1e-10
+    diag = mie_diag(basis, 0.01, eps)
+    for l in (1, 2, 3):
+        want = _te_mpmath(l, 0.01, eps)
+        for m in range(-l, l + 1):
+            got = diag[basis.index(POL_TE, l, m)]
+            assert abs((got - want) / want) < 1e-5, (l, m)
+
+
+def test_diag_is_finite_at_the_l_max_cap():
+    # the TE ratios divide by i_l up to l_max 29: at x = 2.5e-4 (the
+    # zero-frequency seed of a unit sphere) entries reach 5.8e-303, and
+    # at 1e-6 the highest orders underflow to 0
+    for x in (1e-6, 2.5e-4):
+        diag = mie_diag(BasisSpec(29), x, 2.6)
+        assert np.all(np.isfinite(diag))
 
 
 def test_diag_evaluates_each_radial_table_once(monkeypatch):

@@ -24,7 +24,8 @@ from casphere.scattering import (SceneConfig, SphereSpec, casimir_force,
                                  interaction_energy, logdet_energy_oracle,
                                  target_potential, three_body_energy,
                                  three_body_force)
-from casphere.scattering import _assemble, _energy_rows, _path_exponent
+from casphere.scattering import (_assemble, _energy_rows, _force_rows,
+                                 _path_exponent)
 from casphere.spectral import (CHECK_NODES, SpectralSettings, integrate_zero_t,
                                matsubara_sum)
 from casphere.translation import (KIND_OUTGOING, _gradient_stack,
@@ -97,11 +98,12 @@ def test_resummed_equals_fixed_order_sum():
     acc = np.zeros(3)
     for k in range(2, 13):
         acc += force_integrand(sc, "b", xi, fixed_k=k)
-    nrm = np.linalg.norm(_assemble(sc, xi)[0], 2)
+    m = _assemble(sc, xi)[0]
+    nrm = np.linalg.norm(m, 2)
     tail = nrm ** 13 / (1.0 - nrm)
     assert np.abs(res - acc).max() < 50.0 * tail + 1e-14
     # ln det(1 - M) = -sum_k tr[M^k] / k, and tr M = 0
-    energy = sum(_energy_rows(sc, xi, k, [None])[0] for k in range(2, 13))
+    energy = sum(_energy_rows(m, k, [None])[0] for k in range(2, 13))
     assert abs(energy - energy_integrand(sc, xi)) < 50.0 * tail + 1e-16
 
 
@@ -183,19 +185,58 @@ def test_truncation_estimate_reuses_the_frequency_evaluations():
 
 
 def test_n_freq_counts_every_frequency_evaluation(monkeypatch):
+    # every result, at T = 0 and at 293 K: one assembly per frequency
     import casphere.scattering as scattering
-    calls = []
-    assemble = scattering._assemble
+    calls, terms = [], []
+    assemble, matsubara = scattering._assemble, scattering.matsubara_sum
 
     def counted(*args, **kwargs):
         calls.append(args)
         return assemble(*args, **kwargs)
 
+    def summed(*args, **kwargs):
+        out = matsubara(*args, **kwargs)
+        terms.append(out[2])
+        return out
+
     monkeypatch.setattr(scattering, "_assemble", counted)
-    sc = replace(two_spheres(l_max=2), spectral=FAST)
-    res = casimir_force(sc, "b")
-    assert res.n_freq == 2 * FAST.n_nodes + CHECK_NODES
-    assert len(calls) == res.n_freq
+    monkeypatch.setattr(scattering, "matsubara_sum", summed)
+    pair = replace(two_spheres(l_max=2), spectral=FAST)
+    triple = replace(three_spheres(l_max=1), spectral=FAST)
+    hot = replace(triple, temperature_kelvin=293.0, length_unit_m=1e-6)
+    counts = []
+    for result in (lambda: casimir_force(pair, "b").n_freq,
+                   lambda: interaction_energy(pair)[2],
+                   lambda: three_body_energy(triple)[2],
+                   lambda: three_body_force(triple, "c").n_freq,
+                   lambda: target_potential(triple, "c")[2],
+                   lambda: target_potential(hot, "c")[2]):
+        calls.clear()
+        counts.append(result())
+        assert counts[-1] == len(calls)
+    # both Gauss-Laguerre rules; the three f(0+) points and every term
+    assert counts[:5] == [2 * FAST.n_nodes + CHECK_NODES] * 5
+    assert counts[5] == 3 + terms[0]
+
+
+def test_row_reductions_of_a_two_label_m_in_closed_form():
+    # M = [[0, a], [b, 0]]: det(1 - M) = 1 - ab and tr M^2 = 2ab; with
+    # dM = [[0, c], [e, 0]] along each axis, tr[(1 - M)^{-1} dM] is
+    # (ae + bc) / (1 - ab).  The one-label rows are zero.
+    a, b, c, e = 0.3, 0.2, -0.05, 0.07
+    m = np.array([[0.0, a], [b, 0.0]])
+    dm = np.broadcast_to(np.array([[0.0, c], [e, 0.0]]), (3, 2, 2))
+    one = np.array([0])
+    assert _energy_rows(m, None, [None, one]) == pytest.approx(
+        [math.log(1.0 - a * b) / (2.0 * math.pi), 0.0], rel=1e-15)
+    assert _energy_rows(m, 2, [None]) == pytest.approx(
+        [-a * b / (2.0 * math.pi)], rel=1e-15)
+    force = _force_rows(m, dm, None, [None, one])
+    assert force == pytest.approx(np.array(
+        [[(a * e + b * c) / (1.0 - a * b) / (2.0 * math.pi)] * 3,
+         [0.0] * 3]), rel=1e-15)
+    assert _force_rows(m, dm, 2, [None]) == pytest.approx(
+        np.full((1, 3), (a * e + b * c) / (2.0 * math.pi)), rel=1e-15)
 
 
 def test_assembly_translates_each_pair_once(monkeypatch):
