@@ -1,35 +1,37 @@
 """Sphere T-matrices and permittivity models at imaginary frequency.
 
 A homogeneous sphere of radius R and permittivity eps_s sits in a
-background eps_B.  For a regular wave of polarization pol and order l
-incident on the sphere, the scattered outgoing amplitude is
-T_{pol,l} times the incident one; with Riccati functions S_l(x) = x i_l(x),
-E_l(x) = x e_l(x) and arguments x_B = n_B xi R, x_s = sqrt(eps_rel) x_B,
-eps_rel = eps_s / eps_B:
+background eps_B.  A regular wave of polarization pol and order l
+scatters off it into T_{pol,l} times an outgoing one.  With Riccati
+functions S_l(x) = x i_l(x), E_l(x) = x e_l(x), arguments x_B = n_B xi R
+and x_s = n x_B, n = sqrt(eps_rel), eps_rel = eps_s / eps_B:
 
     T^TE_l = [S_l'(x_B) i_l(x_s) - i_l(x_B) S_l'(x_s)]
            / [e_l(x_B) S_l'(x_s) - E_l'(x_B) i_l(x_s)]
-
     T^TM_l = [i_l(x_B) S_l'(x_s) - eps_rel S_l'(x_B) i_l(x_s)]
            / [eps_rel E_l'(x_B) i_l(x_s) - e_l(x_B) S_l'(x_s)]
 
-The TE numerator is evaluated as i_l(x_B) i_l(x_s) x_B [rho_l(x_B) -
-sqrt(eps_rel) rho_l(x_s)] with rho_l = i_{l+1} / i_l, from
-S_l'(z) = i_l(z) [(l + 1) + z rho_l(z)].  The (l + 1) terms of the two
-products drop out analytically instead of cancelling in floating point,
-so TE keeps full precision at small x.  As eps_rel -> 1, TE and TM
-still lose about 1e-16 / (eps_rel - 1) relative: sqrt(eps_rel) and
-the TE bracket are rounded near 1, and TM's (l + 1) terms cancel.
+With rho_l = i_{l+1} / i_l, S_l'(z) = i_l(z) sigma_l(z),
+sigma_l(z) = (l + 1) + z rho_l(z) and E_l'(x) = x e_{l-1}(x) - l e_l(x),
+i_l(x_s) cancels (the logarithmic-derivative form of Bohren & Huffman):
 
-Both vanish identically at eps_rel = 1 and behave like x^{2l+1} for
-small x; T^TM_1 ~ -(2/3) x^3 (eps_rel - 1)/(eps_rel + 2) identifies
+    T^TE_l = i_l(x_B) x_B [rho_l(x_B) - n rho_l(x_s)]
+           / [e_l(x_B) sigma_l(x_s) - E_l'(x_B)]
+    T^TM_l = i_l(x_B) [(l + 1)(1 - eps_rel)
+                       + x_B (n rho_l(x_s) - eps_rel rho_l(x_B))]
+           / [eps_rel E_l'(x_B) - e_l(x_B) sigma_l(x_s)]
+
+No (l + 1) terms cancel and each denominator's terms share one sign,
+so both keep full precision at small x.  Both numerators are exactly 0
+at eps_rel = 1 and lose about 1e-16 / (eps_rel - 1) relative near it
+(n and the rho_l differences round).  T_l ~ x^{2l+1} at small x, and
+T^TM_1 ~ -(2/3) x^3 (eps_rel - 1)/(eps_rel + 2) identifies
 -(3/2) T^TM_1 / x^3 with the normalized dipole polarizability.
 
 T_l grows like e^{2 x_B} at large argument, so every T here is returned
 as T_l e^{-2 x_B}, computed entirely from the scaled i_l e^{-x} and
-e_l e^{+x} of ``specfun``; no intermediate overflows at any x.
-
-The T-matrix is diagonal in (pol, l, m) with m-independent entries, in
+e_l e^{+x} of ``specfun``; no intermediate overflows at any x.  The
+T-matrix is diagonal in (pol, l, m) with m-independent entries, in
 the complex-m and real-m bases alike.
 """
 
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec
-from .specfun import RadialKind, riccati_ik
+from .basis import _L_MAX_CAP, BasisSpec
+from .specfun import RadialKind, mod_sph_bessel
 
 
 # -------------------------------------------------------- permittivities
@@ -118,7 +120,11 @@ class TabulatedPermittivity(PermittivityModel):
 def mie_coefficient(pol, l, x, eps_rel):
     """T_{pol,l} e^{-2x} for background argument x = n_B xi R > 0, one
     entry of ``mie_diag``; finite for any x."""
-    basis = BasisSpec(l)
+    try:
+        basis = BasisSpec(l)
+    except ValueError:
+        raise ValueError(f"l must be an integer in [1, {_L_MAX_CAP}], "
+                         f"got {l!r}") from None
     return float(mie_diag(basis, x, eps_rel)[basis.index(pol, l, 0)])
 
 
@@ -126,24 +132,22 @@ def mie_diag(basis: BasisSpec, x, eps_rel):
     """Diagonal of the T-matrix over the basis, as a vector of length D
     with entries T e^{-2x}.
 
-    The Riccati values are computed once for l = 1..l_max and shared by
-    TE and TM; the regular tables run to l_max + 1 for the TE ratios.
+    TE and TM share three radial tables: i at x and n x for orders
+    0..l_max + 1 (of i(n x) only the ratios) and e at x for 0..l_max.
     """
     if not x > 0.0:
         raise ValueError("x = n_B xi R must be positive")
     if not eps_rel > 0.0:
         raise ValueError("relative permittivity must be positive")
-    if eps_rel == 1.0:
-        return np.zeros(basis.size)
     n = math.sqrt(eps_rel)
-    l, up = np.arange(1, basis.l_max + 1), np.arange(1, basis.l_max + 2)
-    # i_l, S_l' scaled by e^{-x} up to l_max + 1; e_l, E_l' by e^{+x}
-    ib, spb = riccati_ik(RadialKind.REGULAR, up, x)
-    is_, sps = riccati_ik(RadialKind.REGULAR, up, n * x)
-    eb, epb = riccati_ik(RadialKind.OUTGOING, l, x)
-    rb, rs = ib[1:] / ib[:-1], is_[1:] / is_[:-1]   # rho_l = i_{l+1} / i_l
-    ib, spb, is_, sps = ib[:-1], spb[:-1], is_[:-1], sps[:-1]
-    # common scale e^{x+xs} in numerators, e^{-x+xs} in denominators
-    t_te = ib * is_ * x * (rb - n * rs) / (eb * sps - epb * is_)
-    t_tm = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
+    l, up = np.arange(1, basis.l_max + 1), np.arange(basis.l_max + 2)
+    ib = mod_sph_bessel(RadialKind.REGULAR, up, x)      # scaled by e^{-x}
+    is_ = mod_sph_bessel(RadialKind.REGULAR, up, n * x)
+    eb = mod_sph_bessel(RadialKind.OUTGOING, up[:-1], x)   # by e^{+x}
+    rb, rs = ib[2:] / ib[1:-1], is_[2:] / is_[1:-1]    # rho_l = i_{l+1} / i_l
+    ib, eb, epb = ib[1:-1], eb[1:], x * eb[:-1] - l * eb[1:]   # E_l'(x)
+    ss = (l + 1) + n * x * rs                           # sigma_l(n x)
+    t_te = ib * x * (rb - n * rs) / (eb * ss - epb)
+    t_tm = (ib * ((l + 1) * (1.0 - eps_rel) + x * (n * rs - eps_rel * rb))
+            / (eps_rel * epb - eb * ss))
     return np.repeat(np.concatenate([t_te, t_tm]), np.tile(2 * l + 1, 2))

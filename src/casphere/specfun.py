@@ -41,11 +41,16 @@ class RadialKind(Enum):
 
 
 def _check_l(l):
-    """Orders as an int array (0-d for a scalar), each in [0, L_HARD_CAP]."""
-    l = np.asarray(l).astype(int)
-    if np.any((l < 0) | (l > L_HARD_CAP)):
+    """Orders as an int array (0-d for a scalar), each an integer value
+    in [0, L_HARD_CAP]; booleans and fractional orders are refused."""
+    a = np.asarray(l)
+    integral = a.dtype.kind in "iu" or (a.dtype.kind == "f"
+                                        and np.all(a == np.floor(a)))
+    if not integral:
+        raise ValueError(f"order l={l!r} is not an integer")
+    if np.any((a < 0) | (a > L_HARD_CAP)):
         raise ValueError(f"order l={l} outside [0, {L_HARD_CAP}] (L_HARD_CAP)")
-    return l
+    return a.astype(int)
 
 
 # ----------------------------------------------------------------------

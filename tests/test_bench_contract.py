@@ -60,6 +60,30 @@ def test_tracer_finds_every_layer():
         tracer.uninstall()
 
 
+def test_traced_pair_force_op_counts_every_layer():
+    # the tracer binds entry names and the parameters x, eps_rel, basis
+    # and displacement by string; a warm l_max 4 pair force evaluates 88
+    # frequencies, each with one Mie vector (three radial tables), one
+    # translation gradient (one radial table) and two linear-algebra calls
+    inp, ref = _first_reference("pair_force")
+    scenes.warm_up("pair_force")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            result = scenes.run_op("pair_force", inp)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    calls = {name: layer["calls"]
+             for name, layer in tracer.summary()["layers"].items()}
+    assert calls["mie.diag"] == calls["translation.gradient"] == 88
+    assert calls["specfun.radial"] == 352
+    assert calls["scattering.linalg"] == 176
+    verdict = verify.check_result("pair_force", result, ref)
+    assert verdict.ok, verdict
+
+
 @pytest.mark.parametrize("workload", ["pair_force", "thermal_three_body"])
 def test_first_in_process_op_matches_its_reference(workload):
     inp, ref = _first_reference(workload)

@@ -15,7 +15,7 @@ import helpers
 from casphere.basis import POL_TE, POL_TM, BasisSpec
 from casphere.mie import (ConstantPermittivity, DrudeLorentzPermittivity,
                           TabulatedPermittivity, mie_coefficient, mie_diag)
-from casphere.specfun import riccati_ik
+from casphere.specfun import mod_sph_bessel
 
 # (pol, l, x, eps_rel) -> T, mpmath at 40 digits
 ANCHORS = [
@@ -41,7 +41,10 @@ def test_no_contrast_scatters_nothing():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
+    for l in (0, 30, 1.5):
+        with pytest.raises(ValueError, match=rf"^l must be .*, got {l}$"):
+            mie_coefficient(POL_TM, l, 1.0, 2.0)
+    with pytest.raises(ValueError, match="x = n_B xi R must be positive"):
         mie_coefficient(POL_TM, 1, 0.0, 2.0)
     with pytest.raises(ValueError):
         mie_coefficient(POL_TM, 1, -1.0, 2.0)
@@ -129,25 +132,23 @@ def test_diag_is_m_degenerate():
 
 
 def _t_one_order(pol, l, x, eps_rel, scaled):
-    """T_{pol,l} from scalar Riccati calls, one (pol, l) at a time: the
-    loop that ``mie_diag`` replaced, kept as its reference.  TE takes
-    the ratio form with rho_l = i_{l+1} / i_l."""
-    if eps_rel == 1.0:
-        return 0.0
+    """T_{pol,l} from scalar radial calls, one (pol, l) at a time: the
+    loop that ``mie_diag`` replaced, kept as its reference, in the ratio
+    form with rho_l = i_{l+1} / i_l, sigma_l(z) = (l + 1) + z rho_l(z)
+    and E_l'(x) = x e_{l-1}(x) - l e_l(x)."""
     n = math.sqrt(eps_rel)
 
-    def pair(arg):
-        zi, spi = riccati_ik("i", l, arg)
-        ze, spe = riccati_ik("e", l, arg)
-        rho = float(riccati_ik("i", l + 1, arg)[0]) / float(zi)
-        return (float(zi), float(spi), rho), (float(ze), float(spe))
+    def rho(arg):
+        return mod_sph_bessel("i", l + 1, arg) / mod_sph_bessel("i", l, arg)
 
-    (ib, spb, rb), (eb, epb) = pair(x)
-    (is_, sps, rs), _ = pair(n * x)
+    ib, rb, rs = mod_sph_bessel("i", l, x), rho(x), rho(n * x)
+    eb, eb_lower = mod_sph_bessel("e", l, x), mod_sph_bessel("e", l - 1, x)
+    epb, ss = x * eb_lower - l * eb, (l + 1) + n * x * rs
     if pol == POL_TE:
-        t = ib * is_ * x * (rb - n * rs) / (eb * sps - epb * is_)
+        t = ib * x * (rb - n * rs) / (eb * ss - epb)
     else:
-        t = (ib * sps - eps_rel * spb * is_) / (eps_rel * epb * is_ - eb * sps)
+        t = (ib * ((l + 1) * (1.0 - eps_rel) + x * (n * rs - eps_rel * rb))
+             / (eps_rel * epb - eb * ss))
     return t if scaled else t * math.exp(2.0 * x)
 
 
@@ -163,11 +164,12 @@ def test_diag_equals_the_per_order_loop(l_max, x, eps, scaled):
     assert np.array_equal(got if scaled else got * math.exp(2.0 * x), want)
 
 
-def _te_mpmath(l, x, eps_rel):
-    """T^TE_l e^{-2x} at 50 digits, from the defining ratio of Bessel
+def _t_mpmath(pol, l, x, eps_rel):
+    """T_{pol,l} e^{-2x} at 50 digits, from the defining ratio of Bessel
     functions with S_l' = i_l + x (i_{l-1} - (l+1)/x i_l)."""
     with mpmath.workdps(50):
-        x, n = mpmath.mpf(x), mpmath.sqrt(mpmath.mpf(eps_rel))
+        x, eps = mpmath.mpf(x), mpmath.mpf(eps_rel)
+        n = mpmath.sqrt(eps)
 
         def i(order, z):
             return mpmath.sqrt(mpmath.pi / (2 * z)) \
@@ -180,37 +182,49 @@ def _te_mpmath(l, x, eps_rel):
         def sp(f, z):
             return f(l, z) + z * (f(l - 1, z) - (l + 1) / z * f(l, z))
 
-        num = sp(i, x) * i(l, n * x) - i(l, x) * sp(i, n * x)
-        den = e(l, x) * sp(i, n * x) - sp(e, x) * i(l, n * x)
+        if pol == POL_TE:
+            num = sp(i, x) * i(l, n * x) - i(l, x) * sp(i, n * x)
+            den = e(l, x) * sp(i, n * x) - sp(e, x) * i(l, n * x)
+        else:
+            num = i(l, x) * sp(i, n * x) - eps * sp(i, x) * i(l, n * x)
+            den = eps * sp(e, x) * i(l, n * x) - e(l, x) * sp(i, n * x)
         return num / den * mpmath.exp(-2 * x)
 
 
-@pytest.mark.parametrize("eps, tol", [(2.6, 2e-15), (1.01, 2e-13)])
-def test_te_numerator_keeps_precision_at_small_x(eps, tol):
-    # S_l'(x) i_l(nx) - i_l(x) S_l'(nx) cancels its (l + 1) terms; the
-    # ratio form i_l(x) i_l(nx) x [rho_l(x) - n rho_l(nx)] does not (the
-    # cancelling form was off by up to 1.6e-7 at eps 2.6, 4.1e-5 at 1.01)
+@pytest.mark.parametrize("pol, eps, tol", [
+    pytest.param(POL_TE, 2.6, 2e-15, id="2.6-2e-15"),
+    pytest.param(POL_TE, 1.01, 2e-13, id="1.01-2e-13"),
+    pytest.param(POL_TM, 2.6, 2e-15, id="tm-2.6-2e-15"),
+    pytest.param(POL_TM, 1.01, 2e-15, id="tm-1.01-2e-15")])
+def test_te_numerator_keeps_precision_at_small_x(pol, eps, tol):
+    # the difference forms S_l'(x) i_l(nx) - i_l(x) S_l'(nx) (TE) and
+    # i_l(x) S_l'(nx) - eps S_l'(x) i_l(nx) (TM) cancel their (l + 1)
+    # terms and were off by up to 1.6e-7 / 4.1e-5 (TE) and 1.1e-15 /
+    # 6.1e-14 (TM) at eps 2.6 / 1.01; the ratio forms cancel none
     basis = BasisSpec(8)
     for x in (7.5e-3, 2.5e-4):
         diag = mie_diag(basis, x, eps)
         for l in (1, 4, 8):
-            want = _te_mpmath(l, x, eps)
-            got = diag[basis.index(POL_TE, l, 0)]
+            want = _t_mpmath(pol, l, x, eps)
+            got = diag[basis.index(pol, l, 0)]
             assert abs((got - want) / want) < tol, (x, l)
 
 
-def test_te_survives_nearly_transparent_spheres():
-    # at eps - 1 = 1e-10 the cancelling form rounded 7 of these 15 TE
-    # entries to 0; what is left is the 1e-16 / (eps - 1) loss of
-    # forming sqrt(eps) and rho_l(x) - n rho_l(nx) near eps = 1
+@pytest.mark.parametrize("pol, tol", [
+    pytest.param(POL_TE, 1e-5, id="te"), pytest.param(POL_TM, 1e-10, id="tm")])
+def test_te_survives_nearly_transparent_spheres(pol, tol):
+    # at eps - 1 = 1e-10 the difference form rounded 7 of these 15 TE
+    # entries to 0; TE keeps the 1e-16 / (eps - 1) loss of forming
+    # sqrt(eps) and rho_l(x) - n rho_l(nx) near eps = 1 (2.7e-6 here),
+    # TM forms 1 - eps exactly and loses only in its x rho part (1.5e-11)
     basis = BasisSpec(3)
     eps = 1.0 + 1e-10
     diag = mie_diag(basis, 0.01, eps)
     for l in (1, 2, 3):
-        want = _te_mpmath(l, 0.01, eps)
+        want = _t_mpmath(pol, l, 0.01, eps)
         for m in range(-l, l + 1):
-            got = diag[basis.index(POL_TE, l, m)]
-            assert abs((got - want) / want) < 1e-5, (l, m)
+            got = diag[basis.index(pol, l, m)]
+            assert abs((got - want) / want) < tol, (l, m)
 
 
 def test_diag_is_finite_at_the_l_max_cap():
@@ -223,17 +237,17 @@ def test_diag_is_finite_at_the_l_max_cap():
 
 
 def test_diag_evaluates_each_radial_table_once(monkeypatch):
-    # three Riccati pairs (i at x_B and x_s, e at x_B), each one
-    # evaluation of z_l together with z_{l-1} for its derivative
-    import casphere.specfun as specfun
+    # three order tables, one mod_sph_bessel call each: i at x_B and
+    # x_s, e at x_B; counted on the name mie itself calls
+    import casphere.mie as mie
     calls = []
-    radial = specfun.mod_sph_bessel
+    radial = mie.mod_sph_bessel
 
     def counted(*args, **kwargs):
         calls.append(args)
         return radial(*args, **kwargs)
 
-    monkeypatch.setattr(specfun, "mod_sph_bessel", counted)
+    monkeypatch.setattr(mie, "mod_sph_bessel", counted)
     mie_diag(BasisSpec(3), 0.9, 2.6)
     assert len(calls) == 3
 

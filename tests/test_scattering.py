@@ -279,7 +279,8 @@ def three_distinct_spheres():
 def test_assembly_radial_evaluations(monkeypatch, scene, target, calls):
     # a Mie vector takes three radial tables (i at x_B and x_s, e at x_B)
     # and a translation one (e_p with e_p' for a gradient), each table
-    # one mod_sph_bessel call over the orders and their lower neighbours
+    # one mod_sph_bessel call, counted on every module's own binding
+    import casphere.mie as mie
     import casphere.scattering as scattering
     import casphere.specfun as specfun
     import casphere.translation as translation
@@ -290,7 +291,7 @@ def test_assembly_radial_evaluations(monkeypatch, scene, target, calls):
         seen.append(args)
         return radial(*args, **kwargs)
 
-    for module in (specfun, translation):
+    for module in (specfun, translation, mie):
         monkeypatch.setattr(module, "mod_sph_bessel", counted)
     scattering._assemble(scene, 0.7, target)
     assert len(seen) == calls

@@ -36,6 +36,18 @@ def test_domain_errors():
         mod_sph_bessel("i", L_HARD_CAP + 1, 1.0)
     with pytest.raises(ValueError, match="L_HARD_CAP"):
         mod_sph_bessel("e", np.array([0, 3, L_HARD_CAP + 1]), 1.0)
+    # fractional orders and booleans are refused, not truncated
+    for bad in (2.5, True, np.array([1.0, 2.5]), np.array([False, True])):
+        with pytest.raises(ValueError, match=r"order l=.* is not an integer"):
+            mod_sph_bessel("i", bad, 1.0)
+    with pytest.raises(ValueError, match=r"order l=2\.7 is not an integer"):
+        sph_harm(2.7, 1, 0.3, 0.2)
+    with pytest.raises(ValueError, match=r"order l=1\.5 is not an integer"):
+        assoc_legendre(1.5, 0, 0.3)
+    # integer values of any dtype are orders as before
+    assert mod_sph_bessel("i", 2.0, 1.0) == mod_sph_bessel("i", 2, 1.0)
+    assert np.array_equal(mod_sph_bessel("i", np.array([1, 2], np.uint8), 1.0),
+                          mod_sph_bessel("i", [1, 2], 1.0))
     with pytest.raises(ValueError):
         mod_sph_bessel("i", 2, -0.5)
     for kind in ("i", "e"):
